@@ -9,9 +9,9 @@ instance shape and runs the same all-candidates workload twice:
 * **object path** — the pre-kernel implementation, reconstructed verbatim
   from public APIs: object samplers (one ``Database``/sequence per draw), a
   retained fact-set sample list, frozenset-containment witness checks;
-* **interned** — an :class:`EstimationSession` with the kernel (default):
-  mask draws into a :class:`~repro.engine.session.SamplePool`, mask
-  witness evaluation.
+* **interned** — an :class:`EstimationSession`'s ``random.Random`` pool:
+  the same sampler's ``sample_mask`` draws into a
+  :class:`~repro.engine.session.SamplePool`, mask witness evaluation.
 
 Both paths are seeded identically, so — by the RNG-parity contract asserted
 in ``tests/test_interning.py`` — the estimates are **bit-for-bit
@@ -51,8 +51,10 @@ def build_workload():
 
 
 def run_object_path(database, constraints, generator, query, candidates):
-    """The seed implementation's draw-and-evaluate loop, faithfully."""
-    session = EstimationSession(database, constraints, generator, use_kernel=False)
+    """The seed implementation's draw-and-evaluate loop, faithfully: the
+    sampler's object API (``sample``/``sample_result``), one fact set per
+    draw."""
+    session = EstimationSession(database, constraints, generator)
     witnesses = {c: session.witnesses(query, c) for c in candidates}
     sampler = session.sampler(random.Random(SEED))
     draw = (

@@ -7,11 +7,12 @@ reductions instead of per-sample subset tests.  This bench reuses the E21
 inconsistency-sweep instance shape and scores the same all-candidates
 workload on both planes:
 
-* **interned scalar** — PR 3's kernel, pinned via ``backend="scalar"``:
-  mask draws one sample at a time, integer subset tests per (candidate,
-  sample);
-* **vector** — ``backend="vector"``: the same witness semantics over the
-  packed sample matrix.
+* **interned scalar** — PR 3's kernel, a ``session.pool(random.Random(s))``
+  pool: mask draws one sample at a time, integer subset tests per
+  (candidate, sample);
+* **vector** — ``session.pool_for_seed(s)``, the plane the generator picks
+  for seed-driven pools: the same witness semantics over the packed
+  sample matrix.
 
 The two planes are *different deterministic streams* (each reproducible
 under its own seed contract), so the cross-plane estimates agree
@@ -20,8 +21,9 @@ statistically, not bit-for-bit.  The bit-for-bit assertion here is the
 the plane's outcome matrices through the scalar mask construction and
 re-counting hits in pure Python — those recomputed estimates must equal
 the packed-plane estimates exactly.  Speedup is asserted at ≥ 3× per
-sample for both generators, and an end-to-end ``batch_estimate`` run is
-timed on both planes (vector reruns asserted identical).
+sample for both generators, and an end-to-end run of the whole workload
+is timed on both planes: ``batch_estimate`` (vector; reruns asserted
+identical) against one ``random.Random``-pooled session per generator.
 """
 
 import random
@@ -54,14 +56,14 @@ def build_workload():
     return database, constraints, query, candidates
 
 
-def prepare_session(database, constraints, generator, backend, query, candidates):
+def prepare_session(database, constraints, generator, query, candidates):
     """A session with structure + witnesses warm.
 
     Witness enumeration (homomorphism search) is identical on both planes
     and cached per session; keeping it outside the timed region makes the
     measurement about the draw-and-evaluate plane itself.
     """
-    session = EstimationSession(database, constraints, generator, backend=backend)
+    session = EstimationSession(database, constraints, generator)
     session.index()
     for candidate in candidates:
         session.witness_masks(query, candidate)
@@ -78,7 +80,8 @@ def run_scalar(session, query, candidates):
 
 
 def run_vector(session, query, candidates):
-    pool = session.vector_pool(SEED)
+    pool = session.pool_for_seed(SEED)
+    assert pool.backend == "vector"
     return [
         session.fixed_budget_pooled(pool, query, candidate, samples=SAMPLES).estimate
         for candidate in candidates
@@ -106,8 +109,19 @@ def decode_parity_estimates(database, constraints, generator, query, candidates)
     return estimates
 
 
+def end_to_end_scalar(database, constraints, query, candidates):
+    """The workload scored on ``random.Random`` pools, one session each."""
+    for generator in GENERATORS:
+        session = EstimationSession(database, constraints, generator)
+        pool = session.pool(random.Random(SEED))
+        for candidate in candidates:
+            session.estimate_pooled(
+                pool, query, candidate, epsilon=0.4, delta=0.1
+            )
+
+
 def end_to_end(database, constraints, query, candidates):
-    """Wall-clock ``batch_estimate`` on both planes (vector rerun asserted)."""
+    """Wall-clock whole-workload runs on both planes (vector rerun asserted)."""
     requests = [
         BatchRequest(
             database,
@@ -121,15 +135,15 @@ def end_to_end(database, constraints, query, candidates):
         for generator in GENERATORS
         for candidate in candidates
     ]
-    timings = {}
-    for backend in ("scalar", "vector"):
-        started = time.perf_counter()
-        results = batch_estimate(requests, seed=SEED, backend=backend)
-        timings[backend] = time.perf_counter() - started
-        assert all(r.ok for r in results)
-        if backend == "vector":
-            rerun = batch_estimate(requests, seed=SEED, backend=backend)
-            assert [r.result for r in rerun] == [r.result for r in results]
+    started = time.perf_counter()
+    end_to_end_scalar(database, constraints, query, candidates)
+    timings = {"scalar": time.perf_counter() - started}
+    started = time.perf_counter()
+    results = batch_estimate(requests, seed=SEED)
+    timings["vector"] = time.perf_counter() - started
+    assert all(r.ok for r in results)
+    rerun = batch_estimate(requests, seed=SEED)
+    assert [r.result for r in rerun] == [r.result for r in results]
     return timings
 
 
@@ -138,10 +152,10 @@ def compare():
     rows = []
     for generator in GENERATORS:
         scalar_session = prepare_session(
-            database, constraints, generator, "scalar", query, candidates
+            database, constraints, generator, query, candidates
         )
         vector_session = prepare_session(
-            database, constraints, generator, "vector", query, candidates
+            database, constraints, generator, query, candidates
         )
         started = time.perf_counter()
         scalar_estimates = run_scalar(scalar_session, query, candidates)

@@ -2,7 +2,7 @@
 
 A reduced-replication run of the ``repro.calibration`` audit plane (the
 PR-gate leg; the scheduled CI cron runs the 2000-replication profile).
-Every (target × fixed|adaptive × scalar|vector × cold|warm) cell must
+Every (target × fixed|adaptive × scalar cold | vector cold|warm) cell must
 report observed miscoverage statistically consistent with its nominal δ
 — the Clopper–Pearson lower bound may not exceed δ — and every warm cell
 must replay its cold twin bit-for-bit.  The adversarial optional-stopping
@@ -73,10 +73,20 @@ def test_e28_calibration_audit(benchmark):
         )
     assert report.cells, "audit produced no cells"
     assert report.passed, f"coverage drift in {report.failing_cells()}"
-    # Both planes must actually have been audited (numpy is present in CI).
-    backends = {cell.backend for cell in report.cells}
-    if not report.skipped_backends:
-        assert backends == {"scalar", "vector"}
+    # The whole grid was audited: scalar cells are cold only (no
+    # production path persists a scalar M_ur/M_us stream), vector cells
+    # are cold and warm, in both modes, for every target.
+    grid = {(c.target, c.mode, c.backend, c.warmth) for c in report.cells}
+    assert grid == {
+        (target.name, mode, backend, warmth)
+        for target in default_targets("small")
+        for mode in ("fixed", "adaptive")
+        for backend, warmth in (
+            ("scalar", "cold"),
+            ("vector", "cold"),
+            ("vector", "warm"),
+        )
+    }
     warm_cells = [c for c in report.cells if c.warmth == "warm"]
     assert warm_cells and all(c.replay_mismatches == 0 for c in warm_cells)
 

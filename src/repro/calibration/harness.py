@@ -5,6 +5,11 @@ by thousands of independently seeded replications:
 
     (target) × (fixed | adaptive) × (scalar | vector) × (cold | warm)
 
+minus the scalar warm cells: the scalar plane is the ``random.Random``
+reference stream (``session.pool(random.Random(seed))``, the per-call
+parity stream), which no production path persists for the
+``M_ur``/``M_us`` families, so it has nothing to replay.
+
 *Targets* pair an instance/query with its truth — exact rationals from
 the polynomial ground-survival formulas on small instances, or a pinned
 high-replication reference estimate where no closed form exists.  Every
@@ -15,8 +20,8 @@ affected cell while the others stay clean, which localizes the plane at
 fault.
 
 The warm cells double as a replay-parity canary: each replication's cold
-pass draws through a :class:`~repro.engine.store.CacheStore` entry and
-saves it; the warm pass re-opens the entry through a fresh handle and
+vector pass draws through a :class:`~repro.engine.store.CacheStore` entry
+and saves it; the warm pass re-opens the entry through a fresh handle and
 must reproduce the cold estimates bit-for-bit (the store's resume
 contract).  A warm cell therefore fails on either coverage drift *or*
 replay divergence.
@@ -45,7 +50,6 @@ from ..counting.survival import (
     ground_survival_mus1,
 )
 from ..engine import CacheStore, EstimationSession
-from ..sampling.rng import HAVE_NUMPY
 from ..workloads import (
     block_membership_query,
     figure2_database,
@@ -74,6 +78,7 @@ __all__ = [
 
 MODES = ("fixed", "adaptive")
 WARMTHS = ("cold", "warm")
+BACKENDS = ("scalar", "vector")
 
 _EXACT_SURVIVAL = {
     "M_ur": ground_survival_mur,
@@ -276,7 +281,6 @@ class AuditReport:
     base_seed: int
     horizon: int
     backends: tuple[str, ...]
-    skipped_backends: tuple[str, ...]
     cells: tuple[CellResult, ...]
     anytime: tuple[AnytimeResult, ...]
 
@@ -346,9 +350,11 @@ def run_audit(
 ) -> AuditReport:
     """Run the full audit grid and return its report.
 
-    ``backends`` defaults to both planes, dropping ``vector`` (recorded in
-    ``skipped_backends``) when numpy is absent.  ``cells`` filters the
-    grid by substring match against ``target/mode/backend/warmth`` ids.
+    ``backends`` defaults to both planes: ``vector`` cells draw the
+    generator's seed-driven pool (:meth:`EstimationSession.cached_pool`),
+    ``scalar`` cells a ``random.Random(seed)`` pool, cold only.  ``cells``
+    filters the grid by substring match against
+    ``target/mode/backend/warmth`` ids.
     ``cache_dir`` hosts the warm-replay store (a temporary directory, torn
     down afterwards, when ``None``).  The anytime audit replays each
     distinct truth once per ``(target, truth)`` at ``anytime_replications``
@@ -358,11 +364,11 @@ def run_audit(
         targets = default_targets()
     if replications < 1:
         raise ValueError("replications must be positive")
-    requested = tuple(backends) if backends is not None else ("scalar", "vector")
-    skipped = tuple(b for b in requested if b == "vector" and not HAVE_NUMPY)
-    active_backends = tuple(b for b in requested if b not in skipped)
-    if not active_backends:
-        raise ValueError("no usable backend: numpy is required for vector-only audits")
+    backends = tuple(backends) if backends is not None else BACKENDS
+    if not backends or not set(backends) <= set(BACKENDS):
+        raise ValueError(
+            f"backends must be drawn from {BACKENDS} (got {backends!r})"
+        )
 
     def wanted(cell_id: str) -> bool:
         return cells is None or any(pattern in cell_id for pattern in cells)
@@ -379,11 +385,12 @@ def run_audit(
             )
         store = CacheStore(cache_dir)
         for target in targets:
-            for backend in active_backends:
+            for backend in backends:
+                warmths = WARMTHS if backend == "vector" else ("cold",)
                 grid_ids = [
                     f"{target.name}/{mode}/{backend}/{warmth}"
                     for mode in MODES
-                    for warmth in WARMTHS
+                    for warmth in warmths
                 ]
                 if not any(wanted(cell_id) for cell_id in grid_ids):
                     continue
@@ -394,30 +401,35 @@ def run_audit(
                 tallies = {
                     (mode, warmth): _CellTally()
                     for mode in MODES
-                    for warmth in WARMTHS
+                    for warmth in warmths
                 }
                 session = EstimationSession(
-                    target.database,
-                    target.constraints,
-                    target.generator,
-                    backend=backend,
+                    target.database, target.constraints, target.generator
                 )
                 for index in range(replications):
                     seed = replication_seed(
                         base_seed, f"{target.name}/{backend}", index
                     )
                     passes = {}
-                    for warmth in WARMTHS:
-                        # Both passes open the entry through a *fresh*
-                        # handle: the cold one draws and saves, the warm
-                        # one must replay that stream bit-for-bit.
-                        session.cache = store.entry(
-                            target.database,
-                            target.constraints,
-                            target.generator.name,
-                            seed,
-                        )
-                        pool = session.cached_pool(seed)
+                    for warmth in warmths:
+                        if backend == "scalar":
+                            pool = session.pool(random.Random(seed))
+                        else:
+                            # Both passes open the entry through a *fresh*
+                            # handle: the cold one draws and saves, the
+                            # warm one must replay that stream bit-for-bit.
+                            session.cache = store.entry(
+                                target.database,
+                                target.constraints,
+                                target.generator.name,
+                                seed,
+                            )
+                            pool = session.cached_pool(seed)
+                            if pool.backend != "vector":
+                                raise ValueError(
+                                    f"target {target.name!r}: generator "
+                                    f"{target.generator.name!r} has no vector plane"
+                                )
                         fixed = session.estimate_pooled(
                             pool,
                             target.query,
@@ -433,7 +445,7 @@ def run_audit(
                             delta=delta,
                             pool=pool,
                         )
-                        if warmth == "cold":
+                        if session.cache is not None and warmth == "cold":
                             session.cache.save()
                         passes[warmth] = (fixed, adaptive)
                         tallies[("fixed", warmth)].record(
@@ -448,10 +460,12 @@ def run_audit(
                         tallies[("adaptive", warmth)].sharpness.append(
                             _adaptive_sharpness(adaptive)
                         )
-                    if not _results_match(passes["cold"][0], passes["warm"][0]):
-                        tallies[("fixed", "warm")].replay_mismatches += 1
-                    if not _results_match(passes["cold"][1], passes["warm"][1]):
-                        tallies[("adaptive", "warm")].replay_mismatches += 1
+                    if "warm" in passes:
+                        cold, warm = passes["cold"], passes["warm"]
+                        if not _results_match(cold[0], warm[0]):
+                            tallies[("fixed", "warm")].replay_mismatches += 1
+                        if not _results_match(cold[1], warm[1]):
+                            tallies[("adaptive", "warm")].replay_mismatches += 1
                 session.cache = None
                 for (mode, warmth), tally in tallies.items():
                     cell_id = f"{target.name}/{mode}/{backend}/{warmth}"
@@ -520,8 +534,7 @@ def run_audit(
         replications=replications,
         base_seed=base_seed,
         horizon=horizon,
-        backends=active_backends,
-        skipped_backends=skipped,
+        backends=backends,
         cells=tuple(cell_results),
         anytime=tuple(anytime_results),
     )

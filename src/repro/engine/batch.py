@@ -31,11 +31,11 @@ Two orthogonal switches extend the planner:
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
   warm-start (requires a workload ``seed``; unseeded runs are not
   reproducible and bypass the cache).
-* ``backend="auto"|"vector"|"scalar"`` — the sample plane per group:
-  ``auto`` (default) draws pools on the vectorized numpy plane when
-  available (whole ``uint64``-packed batches, fixed-mode prefixes
-  pre-drawn in one chunked pass) and falls back to the scalar interned
-  kernel otherwise.
+
+The generator picks each group's sample plane: the ``M_ur``/``M_us``
+families draw on the vectorized numpy plane (whole ``uint64``-packed
+batches, fixed-mode prefixes pre-drawn in one chunked pass), ``M_uo`` on
+the scalar interned kernel.
 """
 
 from __future__ import annotations
@@ -115,8 +115,6 @@ def batch_estimate(
     workers: int | None = None,
     mode: str = "fixed",
     cache_dir: str | None = None,
-    use_kernel: bool = True,
-    backend: str = "auto",
     start_method: str | None = None,
 ) -> list[BatchResult]:
     """Estimate every request, sharing one sample pool per instance group.
@@ -129,20 +127,7 @@ def batch_estimate(
 
     ``mode="adaptive"`` switches every group to the early-stopping
     scheduler; ``cache_dir`` persists per-group state across processes and
-    runs (see the module docstring).  ``use_kernel=False`` forces the
-    object-path samplers instead of the interned id kernel — results are
-    bit-for-bit identical either way (the parity tests assert it); the
-    switch exists for benchmarking and as a safety valve.
-
-    ``backend`` picks the sample plane per group (see
-    :meth:`~repro.engine.session.EstimationSession.resolved_backend`):
-    ``"auto"`` (default) draws each group's pool on the vectorized numpy
-    plane when available — workers then draw in whole batches, and fixed
-    mode pre-draws a group's longest fixed prefix in one chunked pass —
-    falling back to the scalar kernel otherwise.  Runs are reproducible
-    per ``(seed, backend)``: both planes are deterministic, but they are
-    *different* deterministic streams, so pin ``backend`` explicitly when
-    comparing runs across machines with and without numpy.
+    runs (see the module docstring).
 
     ``start_method`` pins the ``multiprocessing`` start method for the
     worker fan-out (``"fork"`` / ``"spawn"`` / ``"forkserver"``); the
@@ -154,10 +139,6 @@ def batch_estimate(
     """
     if mode not in ("fixed", "adaptive"):
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
-    if backend not in ("auto", "vector", "scalar"):
-        raise ValueError(
-            f"unknown backend {backend!r} (use 'auto', 'vector' or 'scalar')"
-        )
     if (
         start_method is not None
         and start_method not in multiprocessing.get_all_start_methods()
@@ -173,14 +154,7 @@ def batch_estimate(
     for position, request in indexed:
         groups.setdefault(request.group_key(), []).append((position, request))
     payloads = [
-        (
-            members,
-            group_seed_for(seed, *group_key),
-            mode,
-            cache_dir,
-            use_kernel,
-            backend,
-        )
+        (members, group_seed_for(seed, *group_key), mode, cache_dir)
         for group_key, members in groups.items()
     ]
     if workers and workers > 1 and len(payloads) > 1:
@@ -243,14 +217,12 @@ def _pool_context(start_method: str | None = None):
 
 
 def _estimate_group(
-    payload: tuple[
-        Sequence[tuple[int, BatchRequest]], int | None, str, str | None, bool, str
-    ],
+    payload: tuple[Sequence[tuple[int, BatchRequest]], int | None, str, str | None],
 ) -> list[tuple[int, BatchResult]]:
     """Run one group's requests against a shared session + pool (picklable)."""
     from ..approx.fpras import FPRASUnavailable
 
-    members, group_seed, mode, cache_dir, use_kernel, backend = payload
+    members, group_seed, mode, cache_dir = payload
     first = members[0][1]
     cache = None
     if cache_dir is not None and group_seed is not None:
@@ -258,12 +230,7 @@ def _estimate_group(
             first.database, first.constraints, first.generator.name, group_seed
         )
     session = EstimationSession(
-        first.database,
-        first.constraints,
-        first.generator,
-        cache=cache,
-        use_kernel=use_kernel,
-        backend=backend,
+        first.database, first.constraints, first.generator, cache=cache
     )
     try:
         if cache is not None:

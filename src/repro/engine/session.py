@@ -20,24 +20,22 @@ share the same database.  :class:`EstimationSession` binds one
   draw survivor *id bitmasks* without constructing ``Operation`` or
   ``Database`` objects, and the minimal witness images become bitmasks too
   — "repair entails answer" is the integer subset test
-  ``w & s == w``.  ``use_kernel=False`` falls back to object-path draws
-  (identical results, slower; the kernel is a pure speedup).
+  ``w & s == w``.
 * **shared sample pools** — :class:`SamplePool` materializes one seeded
   stream of sampled repairs lazily; every request evaluates against the
   prefix it needs, so ``N`` requests cost one sampling pass plus ``N``
   cheap evaluations instead of ``N`` independent Monte-Carlo runs.
-* **the vectorized sample plane** — with numpy available (the
-  ``repro-uocqa[fast]`` extra), seed-driven pools
+* **the vectorized sample plane** — seed-driven pools
   (:meth:`EstimationSession.pool_for_seed`, i.e. everything
-  :func:`~repro.engine.batch.batch_estimate` builds) draw whole batches
-  at once through :mod:`repro.sampling.vectorized`: samples live in a
-  packed ``(S, ceil(n/64)) uint64`` bitset matrix and witness hits are
-  counted with array reductions instead of per-sample Python tests.  The
-  ``backend`` switch (``"auto"``/``"vector"``/``"scalar"``) controls the
-  plane; ``"auto"`` resolves to the vector plane whenever numpy is
-  importable, the kernel is on, and the generator is block-structured
-  (``M_ur``/``M_us`` families), and falls back to the scalar kernel
-  otherwise — the plane never changes *what* is computed, only how fast.
+  :func:`~repro.engine.batch.batch_estimate` builds) of the
+  block-structured generators (the ``M_ur``/``M_us`` families) draw whole
+  batches at once through :mod:`repro.sampling.vectorized`: samples live
+  in a packed ``(S, ceil(n/64)) uint64`` bitset matrix and witness hits
+  are counted with array reductions instead of per-sample Python tests.
+  The generator alone picks the plane: the ``M_uo`` walk has no vector
+  plane and stays on the scalar one, and so does every
+  ``random.Random``-driven pool (:meth:`EstimationSession.pool`).  The
+  plane never changes *what* is computed, only how fast.
 
 Determinism contracts, one per plane:
 
@@ -110,7 +108,7 @@ from ..exact.possibility import image_is_consistent
 from ..sampling import vectorized as vectorized_plane
 from ..sampling.operations_sampler import UniformOperationsSampler
 from ..sampling.repair_sampler import RepairSampler
-from ..sampling.rng import HAVE_NUMPY, resolve_rng
+from ..sampling.rng import resolve_rng
 from ..sampling.sequence_sampler import SequenceSampler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (store imports session's pool)
@@ -146,27 +144,27 @@ class SamplePool:
     ``max_samples`` to bound the prefix — an unbounded stopping-rule run
     would grow the pool without limit.
 
-    ``preloaded`` warm-starts the stream with samples persisted by a
-    :class:`~repro.engine.store.CacheEntry`; new draws then continue past
-    the preloaded prefix (for scalar pools the caller must hand ``draw``
-    an RNG restored to the state recorded after the last persisted draw;
-    vector pools resume by batch index — their substreams need no state).
+    Samples are id *bitmasks* over the pool's
+    :class:`~repro.core.interning.InstanceIndex` (one ``int`` per sample,
+    bit ``i`` = fact ``i`` survives): :meth:`mask_at` is the hot-path
+    accessor, and :meth:`sample_at` reconstructs fact-set objects on
+    demand — so holding ``n`` samples costs ``n`` ints, not ``n``
+    databases.
 
-    **Interned pools.**  Pools a session builds carry its
-    :class:`~repro.core.interning.InstanceIndex`: samples are id
-    *bitmasks* (one ``int`` per sample, bit ``i`` = fact ``i`` survives),
-    :meth:`mask_at` is the hot-path accessor, and :meth:`sample_at`
-    reconstructs fact-set objects on demand — so holding ``n`` samples
-    costs ``n`` ints, not ``n`` databases.  A pool constructed without an
-    index (``SamplePool(draw)``) keeps the historical contract: ``draw``
-    returns fact sets and :meth:`sample_at` hands them back verbatim.
+    **Scalar pools** call ``draw`` (one mask per call) for each new
+    sample.  ``preloaded`` warm-starts the stream with masks persisted by
+    a :class:`~repro.engine.store.CacheEntry`; new draws then continue
+    past the preloaded prefix, so the caller must hand ``draw`` an RNG
+    restored to the state recorded after the last persisted draw.
 
     **Vector pools.**  Constructed with a ``plane``
     (:mod:`repro.sampling.vectorized`) instead of a ``draw`` callable,
     the pool materializes whole batches of ``batch_size`` samples at a
     time and additionally keeps the plane's packed ``uint64`` bitset
     rows (:meth:`packed_prefix`), which the session's batched witness
-    evaluation reduces with array ops.  All scalar accessors
+    evaluation reduces with array ops.  ``preloaded_rows`` warm-starts
+    them with whole persisted batches; drawing resumes by batch index
+    (the substreams need no state).  All scalar accessors
     (:meth:`mask_at`, :meth:`mask_prefix`, :meth:`sample_at`,
     :meth:`prefix`) keep working unchanged — a vector pool is a drop-in
     backing, not a new interface.
@@ -174,9 +172,10 @@ class SamplePool:
 
     def __init__(
         self,
-        draw: Callable[[], frozenset[Fact] | int] | None = None,
-        preloaded: Iterable[frozenset[Fact] | int] | None = None,
-        index: InstanceIndex | None = None,
+        draw: Callable[[], int] | None = None,
+        preloaded: Iterable[int] | None = None,
+        *,
+        index: InstanceIndex,
         plane=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         preloaded_rows=None,
@@ -184,57 +183,38 @@ class SamplePool:
     ):
         if (draw is None) == (plane is None):
             raise TypeError("exactly one of draw= and plane= is required")
-        if plane is not None and index is None:
-            raise TypeError("vector pools require an InstanceIndex")
-        if shared and plane is None:
-            raise TypeError("shared= requires a vector plane")
-        if preloaded_rows is not None and (plane is None or preloaded is not None):
-            raise TypeError(
-                "preloaded_rows= is the vector-pool fast path (exclusive "
-                "with preloaded=)"
-            )
+        if plane is None and (shared or preloaded_rows is not None):
+            raise TypeError("shared= and preloaded_rows= require a vector plane")
+        if plane is not None and preloaded is not None:
+            raise TypeError("vector pools preload packed rows (preloaded_rows=)")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._draw = draw
         self._plane = plane
         self._batch_size = batch_size
         self._index = index
-        self._samples: list[frozenset[Fact] | int] = list(preloaded or ())
+        self._samples: list[int | None] = list(preloaded or ())
         self._rows = None  # capacity-doubling packed matrix (vector pools)
         self._rows_length = 0  # valid rows in ``_rows``
         self._shared = shared
         self._segment = None  # SharedSampleSegment backing ``_rows`` when shared
         self._mask_prefix_cache: tuple[int, tuple[int, ...]] = (0, ())
         self._facts_prefix_cache: tuple[int, tuple[frozenset[Fact], ...]] = (0, ())
-        if plane is not None:
-            if preloaded_rows is not None:
-                # Packed rows preload directly (the warm-cache fast path):
-                # masks stay lazy placeholders like live-drawn batches.
-                count = preloaded_rows.shape[0]
-                if count % batch_size:
-                    raise ValueError(
-                        "a vector pool's preloaded prefix must be whole batches"
-                    )
-                if count:
-                    self._append_rows(preloaded_rows)
-                    self._samples = [None] * count
-            elif self._samples:
-                if len(self._samples) % batch_size:
-                    raise ValueError(
-                        "a vector pool's preloaded prefix must be whole batches"
-                    )
-                self._append_rows(
-                    vectorized_plane.pack_masks(self._samples, plane.words)
+        if preloaded_rows is not None:
+            # Packed rows preload directly (the warm-cache fast path):
+            # masks stay lazy placeholders like live-drawn batches.
+            count = preloaded_rows.shape[0]
+            if count % batch_size:
+                raise ValueError(
+                    "a vector pool's preloaded prefix must be whole batches"
                 )
+            if count:
+                self._append_rows(preloaded_rows)
+                self._samples = [None] * count
 
     @property
-    def interned(self) -> bool:
-        """Whether samples are stored as id bitmasks over an instance index."""
-        return self._index is not None
-
-    @property
-    def index(self) -> InstanceIndex | None:
-        """The interning the masks refer to (``None`` for plain pools)."""
+    def index(self) -> InstanceIndex:
+        """The interning the masks refer to."""
         return self._index
 
     @property
@@ -351,22 +331,18 @@ class SamplePool:
             self._materialize(length - 1)
 
     def mask_at(self, index: int) -> int:
-        """The ``index``-th sample as an id bitmask (interned pools only)."""
-        if self._index is None:
-            raise TypeError("mask_at() requires a pool built over an InstanceIndex")
+        """The ``index``-th sample as an id bitmask."""
         self._materialize(index)
         return self._mask(index)
 
     def mask_prefix(self, length: int) -> Sequence[int]:
-        """The first ``length`` samples as bitmasks (interned pools only).
+        """The first ``length`` samples as bitmasks.
 
         The bulk accessor for fixed-length evaluation loops.  The returned
         view is an immutable tuple, cached across calls: asking for the
         same (or a shorter) prefix again re-materializes nothing and
         copies nothing new — only genuine growth appends to the cache.
         """
-        if self._index is None:
-            raise TypeError("mask_prefix() requires a pool built over an InstanceIndex")
         cached_length, cached = self._mask_prefix_cache
         if cached_length == length:
             return cached
@@ -399,11 +375,9 @@ class SamplePool:
 
     def sample_at(self, index: int) -> frozenset[Fact]:
         """The ``index``-th sample of the stream as a fact set, drawing as
-        needed (on interned pools the facts are reconstructed on demand)."""
+        needed (the facts are reconstructed from the mask on demand)."""
         self._materialize(index)
-        if self._index is not None:
-            return self._index.facts_of_mask(self._mask(index))
-        return self._samples[index]
+        return self._index.facts_of_mask(self._mask(index))
 
     def prefix(self, length: int) -> Sequence[frozenset[Fact]]:
         """The first ``length`` samples as fact sets (materializing them).
@@ -419,18 +393,16 @@ class SamplePool:
             return cached[:length]
         self.ensure(length)
         self._decode_region(cached_length, length)
-        fresh = self._samples[cached_length:length]
-        if self._index is not None:
-            facts_of = self._index.facts_of_mask
-            cached = cached + tuple(facts_of(mask) for mask in fresh)
-        else:
-            cached = cached + tuple(fresh)
+        facts_of = self._index.facts_of_mask
+        cached = cached + tuple(
+            facts_of(mask) for mask in self._samples[cached_length:length]
+        )
         self._facts_prefix_cache = (length, cached)
         return cached
 
-    def materialized_samples(self) -> Sequence[frozenset[Fact] | int]:
-        """Every sample drawn so far, in storage form (masks on interned
-        pools, fact sets otherwise) — used by the cache store to persist."""
+    def materialized_samples(self) -> Sequence[int]:
+        """Every sample drawn so far as id bitmasks — used by the cache
+        store to persist scalar pools."""
         self._decode_region(0, len(self._samples))
         return self._samples
 
@@ -448,27 +420,11 @@ class EstimationSession:
         constraints: FDSet,
         generator: MarkovChainGenerator,
         cache: "CacheEntry | None" = None,
-        use_kernel: bool = True,
-        backend: str = "auto",
     ):
-        if backend not in ("auto", "vector", "scalar"):
-            raise ValueError(
-                f"unknown backend {backend!r} (use 'auto', 'vector' or 'scalar')"
-            )
         self.database = database
         self.constraints = constraints
         self.generator = generator
         self.cache = cache
-        #: ``False`` forces object-path draws (Operation/Database per
-        #: sample).  Results are bit-for-bit identical either way — the
-        #: interned kernel is a pure speedup, and the flag exists so the
-        #: parity tests and benches can prove exactly that.
-        self.use_kernel = use_kernel
-        #: Which sample plane seed-driven pools use (``"auto"``/``"vector"``/
-        #: ``"scalar"``); see :meth:`resolved_backend`.  ``random.Random``-
-        #: driven pools (:meth:`pool`) always stay on the scalar plane —
-        #: that is the bit-for-bit per-call parity contract.
-        self.backend = backend
         self._decomposition: BlockDecomposition | None = None
         self._index: InstanceIndex | None = None
         self._witnesses: dict[
@@ -573,28 +529,17 @@ class EstimationSession:
             )
         return UniformOperationsSampler(self.database, self.constraints, singleton, rng)
 
-    def _draw_facts(self, rng: random.Random | None) -> Callable[[], frozenset[Fact]]:
-        """A thunk drawing one sampled repair as a fact set (object path)."""
-        sampler = self.sampler(rng)
-        if isinstance(sampler, SequenceSampler):
-            return lambda: sampler.sample_result().facts
-        return lambda: sampler.sample().facts
-
     def _draw_mask(self, rng: random.Random | None) -> Callable[[], int]:
         """A thunk drawing one sampled repair as an id bitmask.
 
-        With the kernel on, the block-structured samplers draw masks
-        natively (no ``Operation``/``Database`` objects per draw); the
-        ``M_uo`` walk — and every sampler when ``use_kernel=False`` — draws
-        objects and interns the result, which consumes the RNG identically
-        and therefore yields the *same* stream, just slower.
+        The block-structured samplers draw masks natively (no
+        ``Operation``/``Database`` objects per draw); the ``M_uo`` walk
+        draws objects and interns the result.
         """
         sampler = self.sampler(rng)
-        if self.use_kernel and isinstance(sampler, (RepairSampler, SequenceSampler)):
+        if isinstance(sampler, (RepairSampler, SequenceSampler)):
             return sampler.sample_mask
         index = self.index()
-        if isinstance(sampler, SequenceSampler):
-            return lambda: index.mask_of(sampler.sample_result().facts)
         return lambda: index.mask_of(sampler.sample().facts)
 
     def pool(self, rng: random.Random | None = None) -> SamplePool:
@@ -610,37 +555,11 @@ class EstimationSession:
         """
         return SamplePool(self._draw_mask(resolve_rng(rng)), index=self.index())
 
-    def resolved_backend(self) -> str:
-        """The plane (``"vector"``/``"scalar"``) seed-driven pools will use.
-
-        ``backend="auto"`` resolves to the vector plane when numpy is
-        importable, the interned kernel is on, and the generator is
-        block-structured (the ``M_ur``/``M_us`` families — the ``M_uo``
-        walk has no vector plane); anything else falls back to
-        ``"scalar"``.  An explicit ``backend="vector"`` raises instead of
-        silently degrading when those prerequisites are missing.
-        """
-        if self.backend == "scalar":
-            return "scalar"
-        vectorizable = (
-            HAVE_NUMPY
-            and self.use_kernel
-            and isinstance(self.generator, (UniformRepairs, UniformSequences))
-        )
-        if self.backend == "vector":
-            if not HAVE_NUMPY:
-                raise ValueError(
-                    "backend='vector' requires numpy — install the "
-                    "'repro-uocqa[fast]' extra or use backend='scalar'"
-                )
-            if not vectorizable:
-                raise ValueError(
-                    f"backend='vector' is unavailable here (generator "
-                    f"{self.generator.name!r} with use_kernel={self.use_kernel}); "
-                    "the vector plane covers the kernel-backed M_ur/M_us families"
-                )
-            return "vector"
-        return "vector" if vectorizable else "scalar"
+    def _vector_generator(self) -> bool:
+        """Whether the generator is block-structured (``M_ur``/``M_us``
+        families) — the ones with a vector plane; the ``M_uo`` walk has
+        none."""
+        return isinstance(self.generator, (UniformRepairs, UniformSequences))
 
     def vector_plane(self, seed: int | None = None):
         """A vectorized sample plane for this session's generator.
@@ -667,7 +586,7 @@ class EstimationSession:
         batch_size: int = DEFAULT_BATCH_SIZE,
         shared: bool = False,
     ) -> SamplePool:
-        """A vector-plane pool drawing in packed batches (requires numpy).
+        """A vector-plane pool drawing in packed batches.
 
         ``shared=True`` backs the packed matrix with a
         :class:`~repro.sampling.vectorized.SharedSampleSegment` so other
@@ -681,15 +600,15 @@ class EstimationSession:
         )
 
     def pool_for_seed(self, seed: int | None, shared: bool = False) -> SamplePool:
-        """A pool for an integer seed, on the session's resolved backend.
+        """A pool for an integer seed, on the plane the generator picks.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
-        the vector plane when :meth:`resolved_backend` says so, otherwise
-        a scalar pool seeded ``random.Random(seed)`` (the exact PR-3
-        stream).  ``shared=`` applies to vector pools only — scalar pools
-        have no packed matrix to share and silently ignore it.
+        the vector plane for the ``M_ur``/``M_us`` families, otherwise a
+        scalar pool seeded ``random.Random(seed)``.  ``shared=`` applies
+        to vector pools only — scalar pools have no packed matrix to
+        share and silently ignore it.
         """
-        if self.resolved_backend() == "vector":
+        if self._vector_generator():
             return self.vector_pool(seed, shared=shared)
         return self.pool(random.Random(seed) if seed is not None else None)
 
@@ -704,22 +623,12 @@ class EstimationSession:
         to a plain :meth:`pool_for_seed` (an unseeded stream is not
         reproducible, so persisting it would be meaningless).
 
-        A persisted prefix from the *other* plane cannot be extended: with
-        ``backend="auto"`` a warm scalar prefix (e.g. a transparently
-        upgraded v2 entry) keeps the entry on the scalar plane; under an
-        explicitly requested plane a mismatched prefix is discarded and
-        redrawn instead.
+        A persisted prefix from the *other* plane cannot be extended, so
+        it is discarded and redrawn on the generator's plane.
         """
         if self.cache is None or seed is None:
             return self.pool_for_seed(seed, shared=shared)
-        backend = self.resolved_backend()
-        if (
-            self.backend == "auto"
-            and backend == "vector"
-            and self.cache.sample_backend() == "scalar"
-        ):
-            backend = "scalar"
-        if backend == "vector":
+        if self._vector_generator():
             return self._cached_vector_pool(seed, shared=shared)
         return self._cached_scalar_pool(seed)
 
@@ -1306,9 +1215,8 @@ class _PoolEvaluator:
       and cached; :meth:`flag` serves positions out of the evaluated
       prefix, growing it one pool batch at a time, and :meth:`count` folds
       a known-length prefix in one reduction.
-    * **scalar pools** — every accessor reproduces the pre-vector code
-      paths *exactly* (same tests, same pool materialization pattern), so
-      scalar results and cache contents stay bit-for-bit what they were.
+    * **scalar pools** — per-position mask tests (or one pass over the
+      mask prefix for :meth:`count`).
     """
 
     __slots__ = (
@@ -1316,7 +1224,6 @@ class _PoolEvaluator:
         "_always",
         "_singles",
         "_complexes",
-        "_witnesses",
         "_witness_rows",
         "_flags",
         "_evaluated",
@@ -1333,14 +1240,9 @@ class _PoolEvaluator:
         self._flags = None
         self._witness_rows = None
         self._evaluated = 0
-        if pool.interned:
-            self._singles, self._complexes, self._always = session._witness_eval(
-                query, answer
-            )
-            self._witnesses = None
-        else:
-            self._witnesses = session.witnesses(query, answer)
-            self._singles, self._complexes, self._always = 0, (), False
+        self._singles, self._complexes, self._always = session._witness_eval(
+            query, answer
+        )
 
     # -- batched path (vector pools) ---------------------------------------------------
 
@@ -1375,39 +1277,26 @@ class _PoolEvaluator:
         self._flags[self._evaluated : length] = fresh
         self._evaluated = length
 
-    # -- scalar path (bit-for-bit the pre-vector behaviour) ----------------------------
-
-    def _scalar_flag(self, position: int) -> bool:
-        pool = self._pool
-        if self._witnesses is not None:
-            return EstimationSession._entails_sample(
-                self._witnesses, pool.sample_at(position)
-            )
-        if self._always:
-            return True
-        mask = pool.mask_at(position)
-        if mask & self._singles:
-            return True
-        return EstimationSession._entails_mask(self._complexes, mask)
-
     # -- public accessors --------------------------------------------------------------
 
     def flag(self, position: int) -> bool:
         """Whether sample ``position`` entails the answer."""
-        if self._witnesses is None and self._always:
-            # Mirrors the scalar closures: an empty witness answers
-            # without touching the pool on either plane.
+        if self._always:
+            # An empty witness answers without touching the pool.
             return True
         if self._pool.backend == "vector":
             if position >= self._evaluated:
                 chunk = self._pool.batch_size
                 self._ensure_flags(((position // chunk) + 1) * chunk)
             return bool(self._flags[position])
-        return self._scalar_flag(position)
+        mask = self._pool.mask_at(position)
+        if mask & self._singles:
+            return True
+        return EstimationSession._entails_mask(self._complexes, mask)
 
     def count(self, length: int) -> int:
         """Hits among the first ``length`` samples (batched when possible)."""
-        if self._witnesses is None and self._always:
+        if self._always:
             # Empty witness: every sample hits, so nothing needs drawing.
             # The scalar plane still materializes (the PR 3 fixed-budget
             # path always did — preserved bit-for-bit); the vector plane
@@ -1418,8 +1307,6 @@ class _PoolEvaluator:
         if self._pool.backend == "vector":
             self._ensure_flags(length)
             return int(self._flags[:length].sum())
-        if self._witnesses is not None:
-            return sum(1 for position in range(length) if self._scalar_flag(position))
         prefix = self._pool.mask_prefix(length)
         singles = self._singles
         complexes = self._complexes

@@ -14,8 +14,8 @@ of the key because the sample stream depends on it; the seed-independent
 structural fields are deliberately duplicated across seeds — one key must
 cover everything any persisted field could depend on.)  Each entry holds:
 
-* ``version`` — the store format version; a mismatch invalidates the entry
-  (except the documented v2 upgrade below);
+* ``version`` — the store format version; a mismatch invalidates the
+  entry;
 * ``decomposition`` — the block decomposition (Lemma 5.2), as
   ``[{relation, group, facts}]`` rows;
 * ``possibility`` — the cached polynomial zero-test verdicts, keyed by
@@ -28,11 +28,14 @@ cover everything any persisted field could depend on.)  Each entry holds:
   ids ``64w .. 64w + 63`` of the sample's id bitmask (the vector plane's
   on-disk row *is* its in-memory ``uint64`` matrix row, and a scalar
   mask packs to the same words).  ``backend`` records which plane drew
-  the prefix: ``"scalar"`` rows resume through the persisted
-  ``random.Random`` state *after* the last draw; ``"vector"`` rows
-  resume by batch index (``batch`` is the plane's batch size — part of
-  its substream contract — and ``rng_state`` is ``null``).  Replayed
-  estimates are identical to cold-run estimates on the same plane.
+  the prefix — the generator's plane: ``"vector"`` for the ``M_ur``/``M_us``
+  families, ``"scalar"`` for ``M_uo``.  ``"scalar"`` rows resume through
+  the persisted ``random.Random`` state *after* the last draw;
+  ``"vector"`` rows resume by batch index (``batch`` is the plane's batch
+  size — part of its substream contract — and ``rng_state`` is
+  ``null``).  A prefix from the plane the generator does not draw on
+  is discarded and redrawn.  Replayed estimates are
+  identical to cold-run estimates.
 
 Version 4 adds the durability envelope: ``digest`` is the SHA-256 hex
 digest of the entry's canonical serialization (sorted keys, compact
@@ -43,12 +46,8 @@ The digest is verified on every load, so a torn write, a truncation, or
 a single flipped bit anywhere in the file is *detected* and the entry
 degrades to recomputation instead of replaying damaged samples.
 
-Entries written at older versions are **transparently upgraded** on
-load: v3 entries (packed words, no digest) load warm as-is and the next
-save rewrites them at v4 with a digest; v2 entries (id-array rows + RNG
-state) decode to the same masks and re-encode as packed words with
-``backend: "scalar"``.  A v2/v3 cache keeps its warm stream.  Version 1
-entries (and any other mismatch) are recomputed.
+Entries written at any other version (v1–v3 included) load as a plain
+miss and are recomputed; the next save rewrites them at v4.
 
 Failure policy: the cache is an accelerator, never an authority.  Any
 read problem — missing file, truncated/corrupt JSON, digest mismatch,
@@ -103,14 +102,13 @@ from ..core.blocks import Block, BlockDecomposition
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
-from ..core.interning import mask_ids
 from ..core.queries import ConjunctiveQuery
 from . import fsfault as _fsfault
 
-# The packed-word geometry is owned by the vector plane: the v3 format's
+# The packed-word geometry is owned by the vector plane: the format's
 # core invariant is "the on-disk word row IS the plane's uint64 matrix
 # row", so the store reads the constants from the one place that defines
-# them (the module imports cleanly without numpy).
+# them.
 from ..sampling.vectorized import WORD_BITS as _WORD_BITS
 from ..sampling.vectorized import words_for as _words_for
 
@@ -118,16 +116,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports stor
     from .session import SamplePool
 
 #: Bump when the on-disk schema changes; old entries are then recomputed.
-#: v2: sample rows are the interned kernel's id arrays (ids into the
-#: canonical fact order — byte-compatible with v1's index rows, but the
-#: decode contract is now "ids of the session's InstanceIndex", and warm
-#: pools preload them as bitmasks without reconstructing facts).
-#: v3: sample rows are packed uint64 word lists (the vector plane's
-#: bitset-matrix rows) plus ``backend``/``batch`` metadata; v2 entries
-#: upgrade in place on load instead of being recomputed.
-#: v4: the durability envelope — ``digest`` (SHA-256 over the canonical
-#: serialization, verified on every load) and ``words`` (packed row
-#: width, for database-free fsck); v2/v3 entries upgrade in place.
+#: v4: packed uint64 word rows (the vector plane's bitset-matrix rows)
+#: with ``backend``/``batch`` metadata, inside the durability envelope —
+#: ``digest`` (SHA-256 over the canonical serialization, verified on
+#: every load) and ``words`` (packed row width, for database-free fsck).
 STORE_VERSION = 4
 
 #: Orphaned ``*.tmp`` files older than this are swept when a
@@ -403,15 +395,12 @@ class CacheEntry:
         if not isinstance(document, dict):
             self.load_error = "corrupt"
             return empty
-        version = document.get("version")
-        if version not in (2, 3, STORE_VERSION):
+        if document.get("version") != STORE_VERSION:
             return empty  # a legitimately old/new format, not damage
         for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
             if not isinstance(document.get(field), kind):
                 self.load_error = "corrupt"
                 return empty
-        if version == 2:
-            return self._upgrade_v2(document, empty)
         if document.get("backend") not in (None, "scalar", "vector"):
             self.load_error = "corrupt"
             return empty
@@ -421,13 +410,6 @@ class CacheEntry:
         ):
             self.load_error = "corrupt"
             return empty
-        if version == 3:
-            # Digestless v3 entries load warm as-is; the dirty mark makes
-            # the next save rewrite them inside the v4 envelope.
-            document["version"] = STORE_VERSION
-            document["words"] = self._sample_words()
-            self._dirty = True
-            return document
         if document.get("words") != self._sample_words():
             self.load_error = "corrupt"
             return empty
@@ -436,53 +418,6 @@ class CacheEntry:
             self.load_error = "corrupt"
             return empty
         return document
-
-    def _upgrade_v2(self, document: dict[str, Any], empty: dict[str, Any]) -> dict[str, Any]:
-        """Re-encode a v2 entry in place (id rows → packed words, scalar plane).
-
-        The structural fields carry over unchanged; sample rows decode
-        with the v2 validation rules and re-encode as packed words, so the
-        warm stream survives the format bump.  Undecodable rows degrade to
-        an empty stream (never to a wrong one).  The entry is marked dirty
-        so the next save rewrites it at the current version.
-        """
-        masks = self._decode_v2_rows(document["samples"])
-        upgraded = dict(empty)
-        upgraded["decomposition"] = document.get("decomposition")
-        upgraded["possibility"] = document["possibility"]
-        upgraded["bounds"] = document["bounds"]
-        if masks:
-            words = self._sample_words()
-            upgraded["samples"] = [_mask_to_words(mask, words) for mask in masks]
-            upgraded["rng_state"] = document.get("rng_state")
-            upgraded["backend"] = "scalar"
-        self._dirty = True
-        return upgraded
-
-    def _decode_v2_rows(self, rows: Any) -> list[int]:
-        """v2 id rows → masks, with the v2 validation rules (empty on damage)."""
-        size = len(self._fact_order())
-        decoded: list[int] = []
-        try:
-            for row in rows:
-                mask = 0
-                for identifier in row:
-                    if (
-                        # bool is an int subclass: true/false would silently
-                        # decode as fact 1/0, altering the replayed stream.
-                        isinstance(identifier, bool)
-                        or not isinstance(identifier, int)
-                        or not 0 <= identifier < size
-                    ):
-                        raise CacheFormatError("malformed sample id row")
-                    bit = 1 << identifier
-                    if mask & bit:
-                        raise CacheFormatError("duplicate sample ids")
-                    mask |= bit
-                decoded.append(mask)
-        except (CacheFormatError, TypeError):
-            return []
-        return decoded
 
     def save(self) -> bool:
         """Crash-consistently persist the entry if anything changed.
@@ -592,7 +527,7 @@ class CacheEntry:
                 same_plane and len(theirs["samples"]) > len(document["samples"])
             )
             if adopt:
-                # .get(): a minimally valid v3 file may omit the resume
+                # .get(): a minimally valid file may omit the resume
                 # fields entirely — absent must merge like null, never
                 # crash the save (the accelerator-not-authority policy).
                 for field in ("samples", "rng_state", "backend", "batch"):
@@ -751,8 +686,8 @@ class CacheEntry:
                     raise CacheFormatError("malformed sample word row")
                 for word in row:
                     if (
-                        # bool is an int subclass: reject it here like the
-                        # v2 id decoder always did.
+                        # bool is an int subclass: true/false would
+                        # silently decode as words 1/0.
                         isinstance(word, bool)
                         or not isinstance(word, int)
                         or not 0 <= word < (1 << _WORD_BITS)
@@ -773,14 +708,6 @@ class CacheEntry:
         return [
             sum(word << (_WORD_BITS * position) for position, word in enumerate(row))
             for row in self.sample_word_rows()
-        ]
-
-    def preload_samples(self) -> list[frozenset[Fact]]:
-        """The persisted sample prefix as fact sets (compatibility view)."""
-        order = self._fact_order()
-        return [
-            frozenset(order[identifier] for identifier in mask_ids(mask))
-            for mask in self.preload_sample_masks()
         ]
 
     def discard_samples(self) -> None:
@@ -815,7 +742,7 @@ class CacheEntry:
         their prefix without its post-draw state would be unreplayable —
         so the omission fails here, not deep inside :meth:`save`.
         """
-        if rng is None and getattr(pool, "backend", "scalar") != "vector":
+        if rng is None and pool.backend != "vector":
             raise ValueError("attach_pool() needs the drawing RNG for scalar pools")
         self._pool = pool
         self._rng = rng
@@ -825,7 +752,7 @@ class CacheEntry:
 
         Sharded workers back their vector pools with
         :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices;
-        the store's v3 word row is that very matrix row, so
+        the store's word row is that very matrix row, so
         :meth:`_sync_pool` already reads the shared bytes zero-copy.
         This accessor exposes the segment name for cross-process
         attachment and for eviction tests; ``None`` for private pools.
@@ -837,7 +764,7 @@ class CacheEntry:
         drawn = len(self._pool)
         if drawn <= len(self._document["samples"]):
             return
-        backend = getattr(self._pool, "backend", "scalar")
+        backend = self._pool.backend
         if backend == "vector":
             # The on-disk row IS the pool's packed uint64 matrix row:
             # serialize it directly, never round-tripping through the
@@ -848,21 +775,12 @@ class CacheEntry:
             self._document["batch"] = self._pool.batch_size
             self._document["rng_state"] = None
         else:
+            # Scalar pools hold id bitmasks (the index order equals the
+            # canonical fact order): encoding never touches a Fact.
             words = self._sample_words()
-            materialized = self._pool.materialized_samples()
-            if getattr(self._pool, "interned", False):
-                # Interned pools hold id bitmasks (the index order equals
-                # the canonical fact order): encoding never touches a Fact.
-                masks = materialized
-            else:
-                index_of = {
-                    fact: index for index, fact in enumerate(self._fact_order())
-                }
-                masks = [
-                    sum(1 << index_of[f] for f in sample) for sample in materialized
-                ]
             self._document["samples"] = [
-                _mask_to_words(mask, words) for mask in masks
+                _mask_to_words(mask, words)
+                for mask in self._pool.materialized_samples()
             ]
             self._document["batch"] = None
             state = self._rng.getstate()
@@ -994,13 +912,11 @@ def _fsck_document(document: Any) -> str | None:
     if not isinstance(document, dict):
         return "not a JSON object"
     version = document.get("version")
-    if version not in (2, 3, STORE_VERSION):
+    if version != STORE_VERSION:
         return f"unknown store version {version!r}"
     for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
         if not isinstance(document.get(field), kind):
             return f"malformed {field!r} field"
-    if version == 2:
-        return None  # digestless legacy; loads upgrade or recompute it
     if document.get("backend") not in (None, "scalar", "vector"):
         return f"unknown sample backend {document.get('backend')!r}"
     widths = set()
@@ -1017,8 +933,6 @@ def _fsck_document(document: Any) -> str | None:
                 return f"sample word {word!r} outside uint64"
     if len(widths) > 1:
         return f"inconsistent sample row widths {sorted(widths)}"
-    if version == 3:
-        return None  # digestless; structural checks are all we have
     words = document.get("words")
     if isinstance(words, bool) or not isinstance(words, int) or words < 0:
         return f"malformed 'words' field {words!r}"
@@ -1036,15 +950,15 @@ def _fsck_document(document: Any) -> str | None:
 def fsck_store(directory: str, *, repair: bool = False) -> FsckReport:
     """Scan a cache directory; verify every entry's digest and structure.
 
-    Checks each ``*.json`` entry for valid JSON, a known store version,
-    field structure, packed-row shape, and — for v4 entries — the
-    SHA-256 content digest (which catches any torn write, truncation or
+    Checks each ``*.json`` entry for valid JSON, the current store
+    version, field structure, packed-row shape, and the SHA-256 content
+    digest (which catches any torn write, truncation or
     bit flip).  Orphaned ``*.tmp`` files are reported informationally.
     With ``repair=True``, damaged entries are **quarantined** (renamed
     to ``<name>.quarantined``, preserving the bytes for forensics) so
     the next warm run recomputes cleanly, and orphan temp files are
-    removed regardless of age.  The scan needs no database: v4 entries
-    carry their row width in ``words``.
+    removed regardless of age.  The scan needs no database: entries carry
+    their row width in ``words``.
     """
     report = FsckReport(str(directory))
     try:

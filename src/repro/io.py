@@ -118,7 +118,6 @@ def _freeze(value: Any) -> Constant:
 _GENERATORS_BY_NAME = {generator.name: generator for generator in ALL_GENERATORS}
 _WORKLOAD_METHODS = ("auto", "fixed", "dklr")
 _WORKLOAD_MODES = ("fixed", "adaptive")
-_WORKLOAD_BACKENDS = ("auto", "vector", "scalar")
 
 
 @dataclass(frozen=True)
@@ -127,16 +126,13 @@ class WorkloadSpec:
 
     ``mode`` selects the estimation strategy (``"fixed"`` classical
     estimators, ``"adaptive"`` sequential early stopping), ``cache_dir``
-    names a persistent :class:`~repro.engine.store.CacheStore` directory,
-    and ``backend`` pins the sample plane (``"auto"`` | ``"vector"`` |
-    ``"scalar"`` — pin one for reproducibility across machines with and
-    without numpy); all default to CLI-flag overridable values.
+    names a persistent :class:`~repro.engine.store.CacheStore` directory;
+    both default to CLI-flag overridable values.
     """
 
     requests: list = field(default_factory=list)
     mode: str = "fixed"
     cache_dir: str | None = None
-    backend: str = "auto"
 
 
 def workload_spec_from_dict(
@@ -146,8 +142,16 @@ def workload_spec_from_dict(
 
     ``mode`` must be one of ``"fixed"`` / ``"adaptive"``; a relative
     ``cache_dir`` resolves against ``base_dir`` (the workload file's
-    directory when loaded from disk).
+    directory when loaded from disk).  The removed ``backend`` field is
+    rejected rather than ignored: the generator now picks the sample
+    plane, so a document pinning ``"scalar"`` would otherwise switch
+    streams without notice.
     """
+    if "backend" in document:
+        raise InstanceFormatError(
+            "the workload 'backend' field was removed: the generator picks "
+            "the sample plane (M_ur/M_us vector, M_uo scalar); delete the field"
+        )
     requests = workload_from_dict(document, base_dir=base_dir)
     mode = document.get("mode", "fixed")
     if mode not in _WORKLOAD_MODES:
@@ -160,14 +164,7 @@ def workload_spec_from_dict(
             raise InstanceFormatError("'cache_dir' must be a path string")
         if base_dir is not None and not os.path.isabs(cache_dir):
             cache_dir = os.path.join(base_dir, cache_dir)
-    backend = document.get("backend", "auto")
-    if backend not in _WORKLOAD_BACKENDS:
-        raise InstanceFormatError(
-            f"unknown backend {backend!r}; choose from {_WORKLOAD_BACKENDS}"
-        )
-    return WorkloadSpec(
-        requests=requests, mode=mode, cache_dir=cache_dir, backend=backend
-    )
+    return WorkloadSpec(requests=requests, mode=mode, cache_dir=cache_dir)
 
 
 def load_workload_spec(path: str) -> WorkloadSpec:

@@ -184,8 +184,7 @@ class SessionRegistry:
     (``None`` = fresh entropy per group — estimates are then not
     reproducible and the cache store is bypassed, mirroring
     ``batch_estimate``).  ``cache_dir`` attaches a persistent
-    :class:`~repro.engine.store.CacheStore` for warm-start/spill;
-    ``backend`` / ``use_kernel`` are forwarded to every session.
+    :class:`~repro.engine.store.CacheStore` for warm-start/spill.
 
     ``shared_pools=True`` backs every vector pool with a
     :class:`~repro.sampling.vectorized.SharedSampleSegment` (sharded
@@ -199,20 +198,12 @@ class SessionRegistry:
         *,
         seed: int | None = None,
         cache_dir: str | None = None,
-        backend: str = "auto",
-        use_kernel: bool = True,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         shared_pools: bool = False,
     ):
         if max_sessions < 1:
             raise ValueError("max_sessions must be positive")
-        if backend not in ("auto", "vector", "scalar"):
-            raise ValueError(
-                f"unknown backend {backend!r} (use 'auto', 'vector' or 'scalar')"
-            )
         self.seed = seed
-        self.backend = backend
-        self.use_kernel = use_kernel
         self.max_sessions = max_sessions
         self.shared_pools = shared_pools
         #: Per-registry store-failure accounting; drives degraded mode.
@@ -277,11 +268,10 @@ class SessionRegistry:
         """The warm handle for this group, admitting (and possibly
         evicting) as needed.
 
-        Raises :class:`~repro.approx.fpras.FPRASUnavailable` (or
-        ``ValueError`` for backend misconfiguration) when the group is
-        outside the paper's positive results — unsupported groups are
-        never admitted, so they cannot flush warm sessions out of the
-        LRU.
+        Raises :class:`~repro.approx.fpras.FPRASUnavailable` when the
+        group is outside the paper's positive results — unsupported
+        groups are never admitted, so they cannot flush warm sessions out
+        of the LRU.
         """
         seed, key = self._derived(database, constraints, generator)
         with self._lock:
@@ -339,14 +329,7 @@ class SessionRegistry:
                     self.storage.record("load", cache.load_error)
                 else:
                     self.storage.mark_ok()
-        session = EstimationSession(
-            database,
-            constraints,
-            generator,
-            cache=cache,
-            use_kernel=self.use_kernel,
-            backend=self.backend,
-        )
+        session = EstimationSession(database, constraints, generator, cache=cache)
         # Raises FPRASUnavailable for out-of-scope groups before admission.
         shared = self.shared_pools
         if cache is not None:
@@ -354,14 +337,7 @@ class SessionRegistry:
                 pool = session.cached_pool(seed, shared=shared)
             except OSError as error:
                 self.storage.record("warm", error)
-                session = EstimationSession(
-                    database,
-                    constraints,
-                    generator,
-                    cache=None,
-                    use_kernel=self.use_kernel,
-                    backend=self.backend,
-                )
+                session = EstimationSession(database, constraints, generator)
                 pool = session.pool_for_seed(seed, shared=shared)
         else:
             pool = session.pool_for_seed(seed, shared=shared)
@@ -441,7 +417,6 @@ class SessionRegistry:
             "sessions": len(handles),
             "max_sessions": self.max_sessions,
             "seed": self.seed,
-            "backend": self.backend,
             "cache_dir": None if self.store is None else self.store.directory,
             "hits": self.hits,
             "misses": self.misses,

@@ -547,8 +547,6 @@ class EstimationServer:
         return WorkerConfig(
             seed=registry.seed,
             cache_dir=None if registry.store is None else registry.store.directory,
-            backend=registry.backend,
-            use_kernel=registry.use_kernel,
             max_sessions=registry.max_sessions,
             max_queue=self.batcher.max_queue,
             max_pending=self.batcher.max_pending,
@@ -1078,7 +1076,6 @@ class EstimationServer:
             request.max_samples,
             request.label,
             mode,
-            self.registry.backend,
         )
 
     async def _run_rows(
@@ -1163,9 +1160,7 @@ def serve(
     *,
     seed: int | None = None,
     cache_dir: str | None = None,
-    backend: str = "auto",
     max_sessions: int | None = None,
-    use_kernel: bool = True,
     max_queue: int | None = None,
     max_pending: int | None = None,
     max_inflight: int | None = None,
@@ -1195,8 +1190,6 @@ def serve(
     registry = SessionRegistry(
         seed=seed,
         cache_dir=cache_dir,
-        backend=backend,
-        use_kernel=use_kernel,
         max_sessions=DEFAULT_MAX_SESSIONS if max_sessions is None else max_sessions,
     )
 
@@ -1220,7 +1213,7 @@ def serve(
         bound_host, bound_port = await server.start()
         print(
             f"repro estimation service on http://{bound_host}:{bound_port} "
-            f"(seed={seed}, backend={backend}, "
+            f"(seed={seed}, "
             f"cache_dir={cache_dir}, max_sessions={registry.max_sessions}, "
             f"workers={server.workers or 1})",
             file=sys.stderr,

@@ -162,8 +162,6 @@ class WorkerConfig:
 
     seed: int | None = None
     cache_dir: str | None = None
-    backend: str = "auto"
-    use_kernel: bool = True
     max_sessions: int = DEFAULT_MAX_SESSIONS
     max_queue: int | None = None
     max_pending: int | None = None
@@ -200,8 +198,6 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
     registry = SessionRegistry(
         seed=config.seed,
         cache_dir=config.cache_dir,
-        backend=config.backend,
-        use_kernel=config.use_kernel,
         max_sessions=config.max_sessions,
         shared_pools=config.shared_pools,
     )

@@ -32,10 +32,8 @@ from repro.calibration import (
 )
 from repro.chains.generators import M_UO, M_UR, M_US
 from repro.core.facts import fact
-from repro.sampling.rng import HAVE_NUMPY
 from repro.workloads import block_membership_query, figure2_database
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 class TestClopperPearson:
@@ -193,7 +191,7 @@ class TestMicroAudit:
             default_targets("small"),
             replications=3,
             base_seed=9,
-            backends=("scalar",),
+            backends=("vector",),
             horizon=16,
         )
 
@@ -202,7 +200,7 @@ class TestMicroAudit:
         # 3 targets × 1 backend × 2 modes × 2 warmths.
         assert len(report.cells) == 12
         assert len(report.anytime) == 3
-        assert {c.backend for c in report.cells} == {"scalar"}
+        assert {c.backend for c in report.cells} == {"vector"}
 
     def test_warm_cells_replay_cold(self, report):
         warm = [c for c in report.cells if c.warmth == "warm"]
@@ -253,7 +251,10 @@ class TestMicroAudit:
         with pytest.raises(ValueError):
             run_audit(default_targets("small"), replications=0)
 
-    @needs_numpy
+    def test_rejects_unknown_backends(self):
+        with pytest.raises(ValueError, match="backends"):
+            run_audit(default_targets("small"), replications=2, backends=("turbo",))
+
     def test_vector_backend_joins_the_grid(self):
         report = run_audit(
             default_targets("small")[:1],
@@ -261,8 +262,16 @@ class TestMicroAudit:
             anytime_replications=0,
             horizon=8,
         )
-        assert {c.backend for c in report.cells} == {"scalar", "vector"}
-        assert report.skipped_backends == ()
+        # Scalar cells are cold only: no production path persists a
+        # scalar M_ur/M_us stream, so there is nothing to replay warm.
+        assert sorted((c.backend, c.warmth) for c in report.cells) == [
+            ("scalar", "cold"),
+            ("scalar", "cold"),
+            ("vector", "cold"),
+            ("vector", "cold"),
+            ("vector", "warm"),
+            ("vector", "warm"),
+        ]
 
 
 @pytest.mark.tier2
@@ -297,12 +306,14 @@ class TestReducedReplicationAudit:
         assert not failing, f"confidence sequence overshoots δ/2 for {failing}"
 
     def test_grid_is_complete(self, report):
-        expected_backends = {"scalar", "vector"} if HAVE_NUMPY else {"scalar"}
         seen = {(c.mode, c.backend, c.warmth) for c in report.cells}
         assert seen == {
             (mode, backend, warmth)
             for mode in ("fixed", "adaptive")
-            for backend in expected_backends
-            for warmth in ("cold", "warm")
+            for backend, warmth in (
+                ("scalar", "cold"),
+                ("vector", "cold"),
+                ("vector", "warm"),
+            )
         }
         assert report.passed

@@ -12,6 +12,7 @@ import pytest
 
 from repro.approx.fpras import FPRASUnavailable, fixed_budget_estimate, fpras_ocqa
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
+from repro.core.interning import InstanceIndex
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
 from repro.engine import EstimationSession, SamplePool
 from repro.workloads import figure2_database
@@ -250,8 +251,17 @@ class TestSamplePool:
         for index in range(20):
             assert pool.sample_at(index) == sampler.sample().facts
 
-    def test_standalone_pool_wraps_any_draw(self):
+    def test_standalone_pool_wraps_any_draw(self, fig2):
+        database, _ = fig2
+        index = InstanceIndex.of(database)
         counter = iter(range(100))
-        pool = SamplePool(lambda: frozenset({next(counter)}))
-        assert pool.sample_at(2) == frozenset({2})
-        assert pool.sample_at(0) == frozenset({0})
+        pool = SamplePool(lambda: 1 << next(counter), index=index)
+        assert pool.sample_at(2) == frozenset({index.fact_of(2)})
+        assert pool.sample_at(0) == frozenset({index.fact_of(0)})
+        assert pool.mask_prefix(3) == (1, 2, 4)
+
+    def test_pool_requires_an_index(self):
+        # Samples are always id bitmasks: there is no index-less
+        # fact-set pool.
+        with pytest.raises(TypeError):
+            SamplePool(lambda: frozenset())

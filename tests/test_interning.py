@@ -2,9 +2,9 @@
 
 The kernel's contract is that it is *purely* a speedup: id-based draws
 consume the RNG exactly like the object path (so seeded streams are
-interchangeable), mask evaluation agrees with frozenset evaluation, and
-``batch_estimate`` produces identical results with the kernel on and off —
-including through a warm :class:`~repro.engine.store.CacheStore`.  The
+interchangeable, draw for draw, through the samplers the engine builds),
+mask evaluation agrees with frozenset evaluation, and a warm
+:class:`~repro.engine.store.CacheStore` replays the cold stream.  The
 parity properties are hypothesis-driven over random primary-key instances.
 """
 
@@ -19,7 +19,7 @@ from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError
-from repro.engine import BatchRequest, EstimationSession, batch_estimate
+from repro.engine import BatchRequest, EstimationSession, SamplePool, batch_estimate
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.sampling.repair_sampler import RepairSampler
 from repro.sampling.sequence_sampler import SequenceSampler
@@ -186,8 +186,15 @@ class TestSamplerDrawParity:
             assert pool.mask_at(position) == session.index().mask_of(drawn.facts)
 
 
+def object_facts(sampler) -> frozenset:
+    """One object-path draw (``Operation``/``Database`` objects) as facts."""
+    if isinstance(sampler, SequenceSampler):
+        return sampler.sample_result().facts
+    return sampler.sample().facts
+
+
 class TestKernelOnOffParity:
-    """Property (b): identical results with the kernel on and off."""
+    """Property (b): the kernel (mask draws) agrees with the object path."""
 
     def batch_requests(self, database, constraints, generator=M_UR):
         query = cq((x,), (atom("R", x, y),))
@@ -204,88 +211,104 @@ class TestKernelOnOffParity:
             for candidate in sorted(query.answers(database), key=repr)
         ]
 
+    def assert_mask_stream_matches_object_stream(
+        self, database, constraints, generator, seed, draws
+    ):
+        session = EstimationSession(database, constraints, generator)
+        kernel = session.sampler(random.Random(seed))
+        objects = session.sampler(random.Random(seed))
+        index = session.index()
+        for _ in range(draws):
+            assert kernel.sample_mask() == index.mask_of(object_facts(objects))
+        assert kernel.rng.getstate() == objects.rng.getstate()
+
+    @pytest.mark.parametrize("generator", BLOCK_GENERATORS, ids=lambda g: g.name)
     @given(instance=instances, seed=seeds)
     @settings(max_examples=10, deadline=None)
-    def test_batch_estimate_matches_with_kernel_on_and_off(self, instance, seed):
-        # Pinned to the scalar plane: use_kernel=False has no vector path,
-        # so the kernel on/off contract is a statement about one plane
-        # (the vector plane's own parity lives in tests/test_vectorized.py).
+    def test_session_sampler_masks_match_object_stream(
+        self, generator, instance, seed
+    ):
         database, constraints = instance
-        requests = self.batch_requests(database, constraints)
-        on = batch_estimate(requests, seed=seed, use_kernel=True, backend="scalar")
-        off = batch_estimate(requests, seed=seed, use_kernel=False, backend="scalar")
-        assert [r.result for r in on] == [r.result for r in off]
-        assert [r.error for r in on] == [r.error for r in off]
+        self.assert_mask_stream_matches_object_stream(
+            database, constraints, generator, seed, draws=6
+        )
 
-    @given(instance=instances, seed=seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_kernel_parity_through_a_warm_cache_store(self, instance, seed):
-        database, constraints = instance
-        requests = self.batch_requests(database, constraints)
-        plain = batch_estimate(requests, seed=seed, backend="scalar")
-        with tempfile.TemporaryDirectory() as cache_dir:
-            cold_on = batch_estimate(
-                requests,
-                seed=seed,
-                cache_dir=cache_dir,
-                use_kernel=True,
-                backend="scalar",
+    @pytest.mark.parametrize("generator", BLOCK_GENERATORS, ids=lambda g: g.name)
+    def test_figure2_sampler_masks_match_object_stream(self, generator):
+        database, constraints = figure2_database()
+        for seed in (3, 5, 7):
+            self.assert_mask_stream_matches_object_stream(
+                database, constraints, generator, seed, draws=50
             )
-            warm_off = batch_estimate(
-                requests,
-                seed=seed,
-                cache_dir=cache_dir,
-                use_kernel=False,
-                backend="scalar",
-            )
-            warm_on = batch_estimate(
-                requests,
-                seed=seed,
-                cache_dir=cache_dir,
-                use_kernel=True,
-                backend="scalar",
-            )
-        for results in (cold_on, warm_off, warm_on):
-            assert [r.result for r in results] == [r.result for r in plain]
 
     @pytest.mark.parametrize(
         "generator", [M_UR, M_UR1, M_US, M_US1, M_UO, M_UO1], ids=lambda g: g.name
     )
     def test_session_estimates_match_with_kernel_on_and_off(self, generator):
+        # Kernel on: the session's mask draws.  Kernel off: the same
+        # sampler's object draws, evaluated with frozenset witness tests.
         database, constraints = figure2_database()
         query = boolean_cq(atom("R", "a1", "b1"))
-        on = EstimationSession(database, constraints, generator, use_kernel=True)
-        off = EstimationSession(database, constraints, generator, use_kernel=False)
-        assert on.estimate(
+        session = EstimationSession(database, constraints, generator)
+        witnesses = session.witnesses(query)
+
+        def object_draws(seed):
+            sampler = session.sampler(random.Random(seed))
+            return lambda: EstimationSession._entails_sample(
+                witnesses, object_facts(sampler)
+            )
+
+        entailed = object_draws(3)
+        off = session._run(
+            lambda: 1.0 if entailed() else 0.0,
+            query, EPSILON, DELTA, "auto", None, None,
+        )
+        assert session.estimate(
             query, epsilon=EPSILON, delta=DELTA, rng=random.Random(3)
-        ) == off.estimate(query, epsilon=EPSILON, delta=DELTA, rng=random.Random(3))
-        budget_on = on.fixed_budget(query, samples=200, rng=random.Random(5))
-        budget_off = off.fixed_budget(query, samples=200, rng=random.Random(5))
+        ) == off
+        budget = session.fixed_budget(query, samples=200, rng=random.Random(5))
+        entailed = object_draws(5)
+        hits = sum(1 for _ in range(200) if entailed())
         # ε/δ are NaN on fixed-budget results (and NaN != NaN): compare the
         # meaningful fields.
-        assert (
-            budget_on.estimate,
-            budget_on.samples_used,
-            budget_on.method,
-            budget_on.certified_zero,
-        ) == (
-            budget_off.estimate,
-            budget_off.samples_used,
-            budget_off.method,
-            budget_off.certified_zero,
+        assert (budget.estimate, budget.samples_used, budget.certified_zero) == (
+            hits / 200,
+            200,
+            hits == 0,
         )
 
     def test_adaptive_estimates_match_with_kernel_on_and_off(self):
         database, constraints = figure2_database()
         query = cq((x,), (atom("R", x, y),))
         requests = [(query, candidate) for candidate in sorted(query.answers(database), key=repr)]
-        on = EstimationSession(database, constraints, M_UR, use_kernel=True)
-        off = EstimationSession(database, constraints, M_UR, use_kernel=False)
-        assert on.estimate_many(
-            requests, epsilon=EPSILON, delta=DELTA, rng=random.Random(7), mode="adaptive"
-        ) == off.estimate_many(
+        session = EstimationSession(database, constraints, M_UR)
+        on = session.estimate_many(
             requests, epsilon=EPSILON, delta=DELTA, rng=random.Random(7), mode="adaptive"
         )
+        index = session.index()
+        sampler = session.sampler(random.Random(7))
+        objects = SamplePool(lambda: index.mask_of(object_facts(sampler)), index=index)
+        off = session.estimate_adaptive_many(
+            objects,
+            [(query, answer, EPSILON, DELTA, None) for query, answer in requests],
+        )
+        assert on == off
+
+    @given(instance=instances, seed=seeds)
+    @settings(max_examples=8, deadline=None)
+    def test_kernel_parity_through_a_warm_cache_store(self, instance, seed):
+        # M_ur draws on the vector plane, M_uo interns object-path walk
+        # draws on the scalar one: both replay bit-for-bit when warm.
+        database, constraints = instance
+        for generator in (M_UR, M_UO):
+            requests = self.batch_requests(database, constraints, generator)
+            plain = batch_estimate(requests, seed=seed)
+            with tempfile.TemporaryDirectory() as cache_dir:
+                cold = batch_estimate(requests, seed=seed, cache_dir=cache_dir)
+                warm = batch_estimate(requests, seed=seed, cache_dir=cache_dir)
+            for results in (cold, warm):
+                assert [r.result for r in results] == [r.result for r in plain]
+                assert [r.error for r in results] == [r.error for r in plain]
 
     def test_witness_masks_agree_with_witness_sets(self):
         database, constraints = figure2_database()

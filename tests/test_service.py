@@ -172,8 +172,6 @@ class TestSessionRegistry:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="max_sessions"):
             SessionRegistry(max_sessions=0)
-        with pytest.raises(ValueError, match="backend"):
-            SessionRegistry(backend="simd")
 
 
 class TestMicroBatcher:
@@ -459,15 +457,16 @@ class TestCliServeParser:
                 "--port", "9000",
                 "--seed", "7",
                 "--cache-dir", "/tmp/cache",
-                "--backend", "scalar",
                 "--max-sessions", "4",
                 "--workers", "2",
             ]
         )
         assert args.command == "serve"
         assert (args.host, args.port, args.seed) == ("0.0.0.0", 9000, 7)
-        assert args.backend == "scalar" and args.max_sessions == 4
-        assert args.workers == 2
+        assert args.max_sessions == 4 and args.workers == 2
+        # The generator picks the sample plane: there is no flag for it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--backend", "scalar"])
 
     def test_loadtest_arguments_parse(self):
         from repro.cli import build_parser

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.chains.generators import M_UR, M_US
+from repro.chains.generators import M_UO, M_UR, M_US
 from repro.cli import main
 from repro.core import FDSet
 from repro.core.blocks import block_decomposition
@@ -24,6 +24,7 @@ from repro.engine import (
     batch_estimate,
     instance_cache_key,
 )
+from repro.engine.store import STORE_VERSION, _document_digest, fsck_store
 from repro.io import (
     InstanceFormatError,
     instance_to_dict,
@@ -44,14 +45,14 @@ def _lockdep(lockdep_state):
     return lockdep_state
 
 
-def fig2_requests():
+def fig2_requests(generator=M_UR):
     database, constraints = figure2_database()
     query = cq((x,), (atom("R", x, y),))
     return [
         BatchRequest(
             database,
             constraints,
-            M_UR,
+            generator,
             query,
             answer=c,
             epsilon=EPSILON,
@@ -216,17 +217,14 @@ class TestCorruption:
     @pytest.fixture
     def populated_scalar(self, tmp_path):
         # The rng_state damage modes are scalar-plane concerns (vector
-        # entries resume by batch index and persist no RNG state at all).
-        requests = fig2_requests()
-        baseline = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
+        # entries resume by batch index and persist no RNG state at all),
+        # so they run on M_uo, the generator that persists a scalar stream.
+        requests = fig2_requests(M_UO)
+        baseline = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         return requests, baseline, entry_path(tmp_path), str(tmp_path)
 
-    def rerun_and_compare(self, requests, baseline, cache_dir, backend="auto"):
-        damaged = batch_estimate(
-            requests, seed=7, cache_dir=cache_dir, backend=backend
-        )
+    def rerun_and_compare(self, requests, baseline, cache_dir):
+        damaged = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in damaged] == [r.result for r in baseline]
 
     def test_truncated_file(self, populated):
@@ -305,7 +303,7 @@ class TestCorruption:
         document = json.load(open(path))
         document["rng_state"] = ["bogus"]
         json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir, backend="scalar")
+        self.rerun_and_compare(requests, baseline, cache_dir)
 
     def test_wrong_field_types(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -362,7 +360,7 @@ class TestCorruption:
         document = json.load(open(path))
         document["rng_state"][1] = [2**64] * len(document["rng_state"][1])
         json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir, backend="scalar")
+        self.rerun_and_compare(requests, baseline, cache_dir)
 
     def test_non_json_constants_never_discard_results(self, tmp_path):
         # Fact constants are any hashable; Decimal values make the entry
@@ -413,7 +411,7 @@ class TestCorruption:
         document = json.load(open(path))
         document["rng_state"] = None  # state lost, samples left behind
         json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir, backend="scalar")
+        self.rerun_and_compare(requests, baseline, cache_dir)
         rewritten = json.load(open(entry_path(cache_dir)))
         assert rewritten["rng_state"] is not None
 
@@ -471,23 +469,23 @@ class TestTwoWriters:
         assert [r.result for r in warm] == [r.result for r in plain]
 
     def test_merge_survives_entry_without_resume_fields(self, tmp_path):
-        # A minimally valid v3 file may omit rng_state/batch entirely;
+        # A minimally valid file may omit rng_state/batch entirely;
         # merging it must degrade gracefully, never crash the save.
         database, constraints = figure2_database()
         entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
         size = len(database.sorted_facts())
+        document = {
+            "version": STORE_VERSION,
+            "decomposition": None,
+            "possibility": {},
+            "bounds": {},
+            "samples": [[0]] if size <= 64 else [],
+            "backend": "scalar",
+            "words": 1,
+        }
+        document["digest"] = _document_digest(document)
         with open(entry.path, "w") as handle:
-            json.dump(
-                {
-                    "version": 3,
-                    "decomposition": None,
-                    "possibility": {},
-                    "bounds": {},
-                    "samples": [[0]] if size <= 64 else [],
-                    "backend": "scalar",
-                },
-                handle,
-            )
+            json.dump(document, handle)
         query = cq((x,), (atom("R", x, y),))
         entry.set_possible(query, ("a1",), True)
         entry.save()  # must not raise despite the absent resume fields
@@ -496,8 +494,9 @@ class TestTwoWriters:
         assert len(document["possibility"]) == 1
 
     def test_cross_plane_writers_keep_their_own_prefix(self, tmp_path):
-        # A scalar writer and a vector writer share a key only when the
-        # environments differ; the merge must not splice streams.
+        # A writer attaching a foreign-plane pool (here a scalar M_ur
+        # stream next to the session's vector one) must not have the
+        # merge splice the two streams.
         from repro.engine.batch import group_seed_for
 
         database, constraints = figure2_database()
@@ -506,15 +505,15 @@ class TestTwoWriters:
 
         vector_entry = store.entry(database, constraints, "M_ur", group_seed)
         vector_session = EstimationSession(
-            database, constraints, M_UR, cache=vector_entry, backend="vector"
+            database, constraints, M_UR, cache=vector_entry
         )
         vector_session.cached_pool(group_seed).ensure(10)
 
         scalar_entry = store.entry(database, constraints, "M_ur", group_seed)
-        scalar_session = EstimationSession(
-            database, constraints, M_UR, cache=scalar_entry, backend="scalar"
-        )
-        scalar_session.cached_pool(group_seed).ensure(40)
+        rng = random.Random(group_seed)
+        scalar_pool = EstimationSession(database, constraints, M_UR).pool(rng)
+        scalar_entry.attach_pool(scalar_pool, rng)
+        scalar_pool.ensure(40)
 
         vector_entry.save()
         scalar_entry.save()  # other plane on disk: ours wins outright
@@ -522,12 +521,13 @@ class TestTwoWriters:
             document = json.load(handle)
         assert document["backend"] == "scalar"
         assert len(document["samples"]) == 40
-        # The surviving scalar prefix extends cleanly.
-        warm = batch_estimate(
-            fig2_requests(), seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
-        plain = batch_estimate(fig2_requests(), seed=7, backend="scalar")
+        # M_ur draws on the vector plane: the surviving scalar prefix is
+        # discarded, never extended, and the entry is rewritten.
+        warm = batch_estimate(fig2_requests(), seed=7, cache_dir=str(tmp_path))
+        plain = batch_estimate(fig2_requests(), seed=7)
         assert [r.result for r in warm] == [r.result for r in plain]
+        with open(entry_path(tmp_path)) as handle:
+            assert json.load(handle)["backend"] == "vector"
 
 
 class TestWorkloadSpecAndCli:
@@ -546,34 +546,22 @@ class TestWorkloadSpecAndCli:
     def test_spec_defaults(self):
         spec = workload_spec_from_dict(self.workload_document())
         assert spec.mode == "fixed" and spec.cache_dir is None
-        assert spec.backend == "auto"
         assert len(spec.requests) == 3
 
-    def test_spec_backend_parsed_and_validated(self):
-        spec = workload_spec_from_dict(self.workload_document(backend="scalar"))
-        assert spec.backend == "scalar"
-        with pytest.raises(InstanceFormatError, match="unknown backend"):
-            workload_spec_from_dict(self.workload_document(backend="turbo"))
-
-    def test_cli_backend_flag_overrides_workload_field(self, tmp_path, capsys):
-        from repro.sampling.rng import HAVE_NUMPY
-
-        workload = tmp_path / "workload.json"
-        workload.write_text(json.dumps(self.workload_document(backend="scalar")))
-        # The workload's field applies when no flag is given ...
-        assert main(["batch", str(workload), "--seed", "7"]) == 0
-        pinned_scalar = capsys.readouterr().out
-        assert main(["batch", str(workload), "--seed", "7", "--backend", "scalar"]) == 0
-        assert capsys.readouterr().out == pinned_scalar
-        if HAVE_NUMPY:
-            # ... and the flag overrides it: a vector-pinned workload run
-            # with --backend scalar reproduces the scalar stream exactly.
-            workload.write_text(json.dumps(self.workload_document(backend="vector")))
-            assert (
-                main(["batch", str(workload), "--seed", "7", "--backend", "scalar"])
-                == 0
-            )
-            assert capsys.readouterr().out == pinned_scalar
+    def test_spec_backend_parsed_and_validated(self, tmp_path):
+        # The field was removed (the generator picks the sample plane);
+        # ignoring it would silently move a "scalar" workload onto another
+        # stream, so every value is an error naming the removed field.
+        for backend in ("auto", "vector", "scalar"):
+            document = self.workload_document(backend=backend)
+            with pytest.raises(
+                InstanceFormatError, match="'backend' field was removed"
+            ):
+                workload_spec_from_dict(document)
+            path = tmp_path / "workload.json"
+            path.write_text(json.dumps(document))
+            with pytest.raises(InstanceFormatError, match="'backend'"):
+                load_workload_spec(str(path))
 
     def test_spec_fields_parsed_and_cache_dir_resolved(self, tmp_path):
         document = self.workload_document(mode="adaptive", cache_dir="cache")
@@ -686,29 +674,44 @@ class TestDurabilityEnvelope:
         damaged = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in damaged] == [r.result for r in baseline]
 
-    def test_v3_entry_upgrades_warm_in_place(self, populated):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pre_v4_entry_loads_as_a_miss_and_recomputes(self, populated, version):
+        # Entries of older formats are not damage: they load as a plain
+        # miss, recompute, and are rewritten at the current version —
+        # while the offline fsck flags every one of them alike.
         requests, baseline, path, cache_dir = populated
         document = json.load(open(path))
         document.pop("digest")
         document.pop("words")
-        document["version"] = 3
+        document["version"] = version
+        if version < 3:
+            # v1/v2 rows were id arrays resumed through an RNG state.
+            document["samples"] = [
+                [i for i in range(64) if row[0] >> i & 1]
+                for row in document["samples"][:8]
+            ]
+            document["rng_state"] = random.Random(7).getstate()
+            document.pop("backend")
+            document.pop("batch")
         json.dump(document, open(path, "w"))
+        report = fsck_store(cache_dir)
+        assert not report.ok
+        assert [row["detail"] for row in report.entries] == [
+            f"unknown store version {version}"
+        ]
         database, constraints = figure2_database()
         from repro.engine.batch import group_seed_for
 
         seed = group_seed_for(7, database, constraints, M_UR)
         entry = CacheStore(cache_dir).entry(database, constraints, "M_ur", seed)
-        # Warm (not a recompute): the digestless v3 rows loaded intact...
         assert entry.load_error is None
-        assert entry.sample_word_rows() == document["samples"]
-        # ...and the upgrade is flushed to disk on the next save.
-        entry.save()
-        upgraded = json.load(open(path))
-        from repro.engine import STORE_VERSION
-
-        assert upgraded["version"] == STORE_VERSION and "digest" in upgraded
+        assert entry.get_decomposition() is None
+        assert entry.sample_word_rows() == []
         warm = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in warm] == [r.result for r in baseline]
+        rewritten = json.load(open(path))
+        assert rewritten["version"] == STORE_VERSION and "digest" in rewritten
+        assert fsck_store(cache_dir).ok
 
     def test_stale_temp_files_are_swept_on_open(self, tmp_path):
         stale = tmp_path / "stale-writer.tmp"

@@ -1,12 +1,11 @@
-"""Vectorized sample plane: decode parity, store v3 round trips, fallback.
+"""Vectorized sample plane: decode parity, plane selection, store round trips.
 
 The vector plane's contract is *plane-internal determinism plus exactness
 of everything downstream of the draw*: outcome matrices decoded through
 the scalar mask construction must equal the packed rows bit-for-bit, hit
-counting over packed rows must equal scalar hit counting, store v3
-entries must replay vector runs exactly (and v2 entries must upgrade
-without losing their scalar stream), and everything must degrade to the
-scalar kernel when numpy is absent.
+counting over packed rows must equal scalar hit counting, store entries
+must replay vector runs exactly, and a prefix drawn on the plane the
+generator does not use is discarded and redrawn, never extended.
 """
 
 import json
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chains.generators import M_UR, M_UR1, M_US, M_US1
+from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, cq, var
 from repro.counting.crs_count import (
@@ -34,15 +33,14 @@ from repro.engine import (
     SamplePool,
     batch_estimate,
 )
-from repro.sampling.rng import HAVE_NUMPY, CumulativeWeights, weighted_choice
+from repro.engine.store import _document_digest
+from repro.sampling.rng import CumulativeWeights, weighted_choice
 from repro.sampling import vectorized
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
 
 EPSILON, DELTA = 0.5, 0.2
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 BLOCK_GENERATORS = [M_UR, M_UR1, M_US, M_US1]
 
@@ -141,7 +139,6 @@ class TestAggregatedWeights:
                     for size, _, count in agg_categories
                 )
 
-    @needs_numpy
     def test_float_cumulative_probabilities_are_correctly_rounded(self):
         from fractions import Fraction
 
@@ -159,7 +156,6 @@ class TestAggregatedWeights:
         assert probabilities[-1] == 1.0
 
 
-@needs_numpy
 class TestDecodeParity:
     """Packed rows, outcome decode, and hit flags all agree bit-for-bit."""
 
@@ -291,7 +287,6 @@ class TestDecodeParity:
         assert vector_estimates == decoded_estimates
 
 
-@needs_numpy
 class TestVectorPools:
     def test_accessors_agree_with_packed_rows(self):
         database, constraints = figure2_database()
@@ -338,33 +333,22 @@ class TestVectorPools:
             SamplePool(plane=session.vector_plane(1))
 
 
-@needs_numpy
 class TestBackendResolution:
+    """The generator alone picks the plane of a seed-driven pool."""
+
     def test_auto_prefers_vector_for_block_generators(self):
         database, constraints = figure2_database()
-        session = EstimationSession(database, constraints, M_UR)
-        assert session.resolved_backend() == "vector"
-        assert session.pool_for_seed(5).backend == "vector"
+        for generator in BLOCK_GENERATORS:
+            session = EstimationSession(database, constraints, generator)
+            assert session.pool_for_seed(5).backend == "vector"
 
-    def test_kernel_off_and_walk_generators_stay_scalar(self):
-        from repro.chains.generators import M_UO
-
+    def test_walk_generators_stay_scalar(self):
         database, constraints = figure2_database()
-        no_kernel = EstimationSession(database, constraints, M_UR, use_kernel=False)
-        assert no_kernel.resolved_backend() == "scalar"
-        walk = EstimationSession(database, constraints, M_UO)
-        assert walk.resolved_backend() == "scalar"
-        with pytest.raises(ValueError, match="vector"):
-            EstimationSession(
-                database, constraints, M_UO, backend="vector"
-            ).resolved_backend()
-
-    def test_unknown_backend_rejected_everywhere(self):
-        database, constraints = figure2_database()
-        with pytest.raises(ValueError, match="backend"):
-            EstimationSession(database, constraints, M_UR, backend="turbo")
-        with pytest.raises(ValueError, match="backend"):
-            batch_estimate(fig2_requests(), seed=1, backend="turbo")
+        for generator in (M_UO, M_UO1):
+            walk = EstimationSession(database, constraints, generator)
+            assert walk.pool_for_seed(5).backend == "scalar"
+            with pytest.raises(ValueError, match="vector"):
+                walk.vector_plane(5)
 
     def test_rng_driven_pools_keep_the_scalar_plane(self):
         database, constraints = figure2_database()
@@ -372,26 +356,6 @@ class TestBackendResolution:
         assert session.pool(random.Random(1)).backend == "scalar"
 
 
-class TestScalarFallback:
-    """Behaviour with numpy unavailable (simulated)."""
-
-    def test_auto_degrades_to_scalar_without_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.session.HAVE_NUMPY", False)
-        database, constraints = figure2_database()
-        session = EstimationSession(database, constraints, M_UR)
-        assert session.resolved_backend() == "scalar"
-        results = batch_estimate(fig2_requests(), seed=7)
-        reference = batch_estimate(fig2_requests(), seed=7, backend="scalar")
-        assert [r.result for r in results] == [r.result for r in reference]
-
-    def test_explicit_vector_backend_reports_actionable_error(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.session.HAVE_NUMPY", False)
-        results = batch_estimate(fig2_requests(), seed=7, backend="vector")
-        assert all(not r.ok for r in results)
-        assert all("repro-uocqa[fast]" in r.error for r in results)
-
-
-@needs_numpy
 class TestStoreV3:
     def entry_document(self, cache_dir):
         (name,) = [n for n in os.listdir(cache_dir) if n.endswith(".json")]
@@ -438,28 +402,39 @@ class TestStoreV3:
         rewritten, _ = self.entry_document(str(tmp_path))
         assert rewritten["batch"] == DEFAULT_BATCH_SIZE
 
-    def test_v2_entries_upgrade_keeping_the_scalar_stream(self, tmp_path):
-        requests = fig2_requests()
-        scalar = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
-        document, path = self.entry_document(str(tmp_path))
-        assert document["backend"] == "scalar"
-        # Rewrite the entry in the v2 format: id rows + rng_state.
-        v2 = {
+    def reseal(self, document, path):
+        """Write a hand-edited entry back under a valid digest."""
+        document.pop("digest", None)
+        document["digest"] = _document_digest(document)
+        json.dump(document, open(path, "w"))
+
+    def v2_document(self, document, samples):
+        """The v2 layout: id rows resumed through an RNG state, no digest."""
+        return {
             "version": 2,
             "decomposition": document["decomposition"],
             "possibility": document["possibility"],
             "bounds": document["bounds"],
-            "samples": [
-                [i for i in range(6) if row[0] >> i & 1]
-                for row in document["samples"]
-            ],
+            "samples": samples,
             "rng_state": document["rng_state"],
         }
+
+    def test_v2_entries_upgrade_keeping_the_scalar_stream(self, tmp_path):
+        # v2 entries are no longer decoded: they load as a miss, and the
+        # recompute redraws the very same scalar stream (M_uo persists
+        # scalar rows), rewriting the entry at the current version.
+        requests = fig2_requests(M_UO)
+        scalar = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        document, path = self.entry_document(str(tmp_path))
+        assert document["backend"] == "scalar"
+        v2 = self.v2_document(
+            document,
+            [
+                [i for i in range(64) if row[0] >> i & 1]
+                for row in document["samples"]
+            ],
+        )
         json.dump(v2, open(path, "w"))
-        # An auto-backend warm run honors the upgraded scalar stream
-        # (numpy present notwithstanding) and replays it bit-for-bit.
         warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         assert [r.result for r in warm] == [r.result for r in scalar]
         upgraded, _ = self.entry_document(str(tmp_path))
@@ -469,47 +444,61 @@ class TestStoreV3:
         assert upgraded["rng_state"] is not None
 
     def test_v2_upgrade_with_corrupt_rows_degrades_to_empty(self, tmp_path):
-        requests = fig2_requests()
-        baseline = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
+        # Out-of-range v2 ids are never read: the entry is a plain miss
+        # and the run recomputes to the baseline results.
+        requests = fig2_requests(M_UO)
+        baseline = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         document, path = self.entry_document(str(tmp_path))
-        v2 = {
-            "version": 2,
-            "decomposition": document["decomposition"],
-            "possibility": document["possibility"],
-            "bounds": document["bounds"],
-            "samples": [[0, 999999]],  # out-of-range v2 id
-            "rng_state": document["rng_state"],
-        }
-        json.dump(v2, open(path, "w"))
-        recovered = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
+        json.dump(self.v2_document(document, [[0, 999999]]), open(path, "w"))
+        recovered = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         assert [r.result for r in recovered] == [r.result for r in baseline]
+        rewritten, _ = self.entry_document(str(tmp_path))
+        assert rewritten["version"] == STORE_VERSION
+        assert rewritten["samples"] == document["samples"]
 
     def test_explicit_vector_discards_a_scalar_prefix(self, tmp_path):
+        # A foreign scalar prefix (hand-written random.Random rows plus
+        # their rng_state) in an M_ur entry cannot extend the vector
+        # stream: it is discarded, the rows equal a cold run, and the
+        # next save rewrites the entry on the vector plane.
         requests = fig2_requests()
-        batch_estimate(requests, seed=7, cache_dir=str(tmp_path), backend="scalar")
-        vector = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="vector"
-        )
-        plain = batch_estimate(requests, seed=7, backend="vector")
-        assert [r.result for r in vector] == [r.result for r in plain]
+        cold = batch_estimate(requests, seed=7)
+        batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        document, path = self.entry_document(str(tmp_path))
+        database, constraints = figure2_database()
+        session = EstimationSession(database, constraints, M_UR)
+        rng = random.Random(7)
+        pool = session.pool(rng)
+        state = rng.getstate()
+        document["samples"] = [[mask] for mask in pool.mask_prefix(5)]
+        document["rng_state"] = [state[0], list(state[1]), state[2]]
+        document["backend"] = "scalar"
+        document["batch"] = None
+        self.reseal(document, path)
+        warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        assert [r.result for r in warm] == [r.result for r in cold]
         rewritten, _ = self.entry_document(str(tmp_path))
         assert rewritten["backend"] == "vector"
+        assert rewritten["rng_state"] is None
 
     def test_explicit_scalar_discards_a_vector_prefix(self, tmp_path):
-        requests = fig2_requests()
-        batch_estimate(requests, seed=7, cache_dir=str(tmp_path), backend="vector")
-        scalar = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
-        plain = batch_estimate(requests, seed=7, backend="scalar")
+        # The mirror image: M_uo persists a scalar stream, so a vector
+        # prefix in its entry is discarded and the scalar stream redrawn.
+        requests = fig2_requests(M_UO)
+        plain = batch_estimate(requests, seed=7)
+        batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        document, path = self.entry_document(str(tmp_path))
+        assert document["backend"] == "scalar"
+        document["backend"] = "vector"
+        document["batch"] = DEFAULT_BATCH_SIZE
+        document["rng_state"] = None
+        self.reseal(document, path)
+        scalar = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         assert [r.result for r in scalar] == [r.result for r in plain]
+        rewritten, _ = self.entry_document(str(tmp_path))
+        assert rewritten["backend"] == "scalar"
+        assert rewritten["rng_state"] is not None
 
-
-@needs_numpy
 class TestVectorEstimationParity:
     """Fixed, dklr, adaptive: batched evaluation equals per-position logic."""
 
@@ -593,7 +582,6 @@ class TestPhiloxSubstreamIndependence:
         keys = [tuple(philox_key(seed)) for seed in seed_values]
         assert len(set(keys)) == len(keys)
 
-    @needs_numpy
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -612,7 +600,6 @@ class TestPhiloxSubstreamIndependence:
         }
         assert len(set(draws.values())) == len(streams)
 
-    @needs_numpy
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -637,7 +624,6 @@ class TestPhiloxSubstreamIndependence:
         permutation.shuffle(shuffled)
         assert draw_all(shuffled) == in_order
 
-    @needs_numpy
     def test_key_reuse_matches_fresh_key(self):
         from repro.sampling.rng import numpy_substream, philox_key
 
