@@ -28,7 +28,8 @@ import time
 import pytest
 
 from repro.engine import batch_estimate
-from repro.service import BackgroundServer, ServiceClient
+from repro.service import ServiceClient
+from repro.service.faults import FaultBackgroundServer
 
 from bench_e27_service_throughput import assert_rows_match, build_mix, run_service
 from bench_utils import emit
@@ -55,8 +56,8 @@ def serve_mix(workers: int, query, requests, offline, *, kill: bool = False):
     also proves the respawn is transparent and re-served rows stay
     bit-identical.
     """
-    options = {"workers": workers, "fault_injection": True}
-    with BackgroundServer(seed=SEED, server_options=options) as server:
+    options = {"workers": workers}
+    with FaultBackgroundServer(seed=SEED, server_options=options) as server:
         rows, _ = run_service(server, query, requests)
         assert_rows_match(rows, offline)
         client = ServiceClient(server.url)

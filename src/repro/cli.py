@@ -35,12 +35,13 @@ workload JSON conventions, hardened with bounded admission queues
 (``--max-queue`` / ``--max-pending`` → 429 + ``Retry-After``), a
 server-wide deadline budget (``--default-budget`` → 504; clients may
 send tighter ``budget_seconds`` → 408), a digest-verified answer cache
-(``--answer-cache-size``), ``GET /metrics`` in Prometheus text format,
-and — for the load-test harness only — ``--enable-fault-injection``.
-``loadtest`` drives a real ``serve`` subprocess past saturation with a
-closed-loop client swarm and injected faults, and exits nonzero unless
-every graceful-degradation invariant held
-(:mod:`repro.service.loadtest`).
+(``--answer-cache-size``) and ``GET /metrics`` in Prometheus text
+format.  ``loadtest`` drives a real server subprocess past saturation
+with a closed-loop client swarm and injected faults, and exits nonzero
+unless every graceful-degradation invariant held
+(:mod:`repro.service.loadtest`); the faults go in through the
+harness-only server of :mod:`repro.service.faults`, never through
+``serve``.
 
 **Adding a command** is one entry in the :data:`COMMANDS` registry: a
 :class:`Command` bundles the handler, its help line, and a function
@@ -449,12 +450,6 @@ def _arguments_serve(subparser: argparse.ArgumentParser) -> None:
         "never cached)",
     )
     subparser.add_argument(
-        "--enable-fault-injection",
-        action="store_true",
-        help="expose POST /_fault (slow handlers, cache poisoning, worker "
-        "kills) for the loadtest harness; never enable on a real deployment",
-    )
-    subparser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -465,23 +460,25 @@ def _arguments_serve(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def serve_options(args: argparse.Namespace) -> dict:
+    """The parsed ``serve`` arguments as ``serve()`` keyword arguments."""
+    return {
+        "seed": args.seed,
+        "cache_dir": args.cache_dir,
+        "max_sessions": args.max_sessions,
+        "max_queue": args.max_queue,
+        "max_pending": args.max_pending,
+        "max_inflight": args.max_inflight,
+        "default_budget": args.default_budget,
+        "answer_cache_size": args.answer_cache_size,
+        "workers": args.workers,
+    }
+
+
 def command_serve(args: argparse.Namespace) -> int:
     from .service import serve
 
-    return serve(
-        args.host,
-        args.port,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        max_sessions=args.max_sessions,
-        max_queue=args.max_queue,
-        max_pending=args.max_pending,
-        max_inflight=args.max_inflight,
-        default_budget=args.default_budget,
-        answer_cache_size=args.answer_cache_size,
-        fault_injection=args.enable_fault_injection,
-        workers=args.workers,
-    )
+    return serve(args.host, args.port, **serve_options(args))
 
 
 # -- loadtest ------------------------------------------------------------------------------
@@ -491,8 +488,9 @@ def _arguments_loadtest(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--url",
         default=None,
-        help="target an already-running server instead of spawning a "
-        "`repro serve` subprocess (the kill fault is then skipped)",
+        help="target an already-running fault-injecting server (start one "
+        "with `python -m repro.service.faults --port N --seed 7`) instead "
+        "of spawning one (the kill fault is then skipped)",
     )
     subparser.add_argument("--seed", type=int, default=7)
     subparser.add_argument(

@@ -19,7 +19,7 @@ beat swap in a :class:`FaultyOps` carrying a deterministic
   filesystem operation *n* (the crash-torture harness sweeps ``n`` over
   the whole save sequence);
 * ``write_enospc=True`` / ``read_error="eio"`` / ``bitflip_seed=s`` —
-  persistent modes for the service's ``POST /_fault`` disk faults:
+  persistent modes for the ``POST /_fault`` disk faults of :mod:`repro.service.faults`:
   every write fails, or reads fail / return one seeded flipped bit.
 
 "Crashing" is real by default — ``SIGKILL`` to our own pid, so no

@@ -28,13 +28,12 @@ engine warm in a long-running process:
   ``/metrics``), started from the command line as
   ``python -m repro serve``, with admission control and per-request
   deadline budgets.
-* :class:`WorkerPool` / :class:`WorkerConfig` / :func:`shard_for_key` /
+* :class:`Shard` / :class:`LocalPool` / :class:`WorkerPool` /
+  :class:`WorkerConfig` / :func:`shard_for_key` /
   :func:`aggregate_shard_stats` (:mod:`repro.service.sharding`) — the
-  sharded multi-process plane (``serve --workers N``): one warm
-  registry per core behind the asyncio router, rendezvous-hashed
-  placement over the registry key, shared-memory sample pools,
-  SIGTERM drains, and respawn + re-warm of dead workers — with served
-  rows bit-identical at any worker count.
+  server's one execution path: a pool of shards (registry +
+  micro-batcher each), in-process or one warm worker process per shard
+  (``serve --workers N``), with served rows bit-identical either way.
 * :class:`ServiceClient` (:mod:`repro.service.client`) — a small
   ``urllib``-based client for the HTTP API; every failure mode
   surfaces as :class:`ServiceClientError`.
@@ -42,7 +41,8 @@ engine warm in a long-running process:
   :class:`LoadTestReport` / :class:`ServerProcess`
   (:mod:`repro.service.loadtest`) — the closed-loop fault-injection
   load-test harness (``python -m repro loadtest``) that proves the
-  plane degrades gracefully past saturation.
+  plane degrades gracefully past saturation, through the harness-only
+  fault server of :mod:`repro.service.faults`.
 
 The determinism contract carries all the way through: a served estimate
 is bit-identical to the same request inside an offline
@@ -69,7 +69,14 @@ from .loadtest import (
 from .metrics import MetricsRegistry, parse_metrics_text
 from .registry import DEFAULT_MAX_SESSIONS, SessionHandle, SessionRegistry
 from .server import DEFAULT_HOST, DEFAULT_PORT, BackgroundServer, EstimationServer, serve
-from .sharding import WorkerConfig, WorkerPool, aggregate_shard_stats, shard_for_key
+from .sharding import (
+    LocalPool,
+    Shard,
+    WorkerConfig,
+    WorkerPool,
+    aggregate_shard_stats,
+    shard_for_key,
+)
 
 __all__ = [
     "AnswerCache",
@@ -81,6 +88,7 @@ __all__ = [
     "EstimationServer",
     "LoadTestConfig",
     "LoadTestReport",
+    "LocalPool",
     "MetricsRegistry",
     "MicroBatcher",
     "QueueFull",
@@ -89,6 +97,7 @@ __all__ = [
     "ServiceClientError",
     "SessionHandle",
     "SessionRegistry",
+    "Shard",
     "WorkerConfig",
     "WorkerPool",
     "aggregate_shard_stats",

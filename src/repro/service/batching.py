@@ -63,6 +63,14 @@ MODES = ("fixed", "adaptive")
 _EWMA_ALPHA = 0.3
 
 
+def retry_after_hint(depth: int, batch_seconds: float = 0.0, widest: int = 0) -> int:
+    """Whole seconds (>= 1) until ``depth`` queued requests likely drain,
+    given the smoothed batch duration (0 = unknown) and widest batch."""
+    # Depth drains in coalesced passes; assume modest width so the hint
+    # errs conservative rather than thundering-herd optimistic.
+    return max(1, math.ceil((batch_seconds or 0.1) * (1 + depth / max(1, widest))))
+
+
 class QueueFull(RuntimeError):
     """Admission refused: a micro-batcher queue bound would be exceeded.
 
@@ -99,10 +107,10 @@ class _Waiter:
 class MicroBatcher:
     """Coalesces concurrent :meth:`submit` calls per instance group.
 
-    Construct one per server over its :class:`SessionRegistry`; an
-    ``executor`` of ``None`` uses the event loop's default thread pool.
-    ``max_queue`` / ``max_pending`` bound the queued *requests* per
-    group / in total (``None`` = unbounded, the pre-hardening behavior);
+    Construct one per shard over its :class:`SessionRegistry`; batches
+    run on the event loop's default thread pool.  ``max_queue`` /
+    ``max_pending`` bound the queued *requests* per group / in total
+    (``None`` = unbounded, the pre-hardening behavior);
     ``on_batch(key, seconds, width)`` is an optional observation hook
     the server uses for latency/width histograms.
     """
@@ -110,7 +118,6 @@ class MicroBatcher:
     def __init__(
         self,
         registry: SessionRegistry,
-        executor=None,
         *,
         max_queue: int | None = None,
         max_pending: int | None = None,
@@ -123,7 +130,6 @@ class MicroBatcher:
         self.registry = registry
         self.max_queue = max_queue
         self.max_pending = max_pending
-        self._executor = executor
         self._on_batch = on_batch
         self._pending: dict[str, list[_Waiter]] = {}
         self._pending_sizes: dict[str, int] = {}
@@ -141,10 +147,7 @@ class MicroBatcher:
 
     def retry_after_hint(self, depth: int) -> int:
         """Whole seconds (>= 1) until ``depth`` queued requests likely drain."""
-        per_batch = self._batch_seconds_ewma or 0.1
-        # Depth drains in coalesced passes; assume modest width so the
-        # hint errs conservative rather than thundering-herd optimistic.
-        return max(1, math.ceil(per_batch * (1 + depth / max(1, self.widest_batch or 1))))
+        return retry_after_hint(depth, self._batch_seconds_ewma, self.widest_batch)
 
     def _admit(self, key: str, size: int) -> None:
         depth = self._pending_sizes.get(key, 0)
@@ -222,9 +225,7 @@ class MicroBatcher:
                     continue
                 started = time.perf_counter()
                 try:
-                    outputs = await loop.run_in_executor(
-                        self._executor, self._run_batch, waiters
-                    )
+                    outputs = await loop.run_in_executor(None, self._run_batch, waiters)
                 except Exception as error:
                     # One poisoned batch fails only its own waiters; the
                     # drain loop survives to serve the next round.

@@ -41,7 +41,9 @@ group seeds derive from instance content, never from labels.
 Everything here is stdlib-only and runs against either a subprocess
 server (:class:`ServerProcess`, the realistic configuration) or any
 ``base_url`` the caller supplies (e.g. an in-process
-:class:`~repro.service.server.BackgroundServer` for fast tier-1 tests).
+:class:`~repro.service.faults.FaultBackgroundServer` for fast tier-1
+tests).  Either way the target is the harness server of
+:mod:`repro.service.faults`: the production server has no ``/_fault``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -192,35 +194,10 @@ class LoadTestReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        """The report as one JSON-native document."""
-        return {
-            "ok": self.ok,
-            "config": self.config,
-            "unloaded_p99": self.unloaded_p99,
-            "unloaded_p99_client": self.unloaded_p99_client,
-            "saturation_rps": self.saturation_rps,
-            "overload_admitted_p99": self.overload_admitted_p99,
-            "overload_admitted_p99_client": self.overload_admitted_p99_client,
-            "overload_admitted": self.overload_admitted,
-            "overload_rejected": self.overload_rejected,
-            "overload_offered_rps": self.overload_offered_rps,
-            "cache_hits": self.cache_hits,
-            "deadline_hits": self.deadline_hits,
-            "poisoned_detected": self.poisoned_detected,
-            "malformed_probes": self.malformed_probes,
-            "transport_errors": self.transport_errors,
-            "bit_identity_checked": self.bit_identity_checked,
-            "bit_identity_failures": self.bit_identity_failures,
-            "rejected_missing_retry_after": self.rejected_missing_retry_after,
-            "worker_kills": self.worker_kills,
-            "worker_restarts": self.worker_restarts,
-            "degraded_peak": self.degraded_peak,
-            "degraded_final": self.degraded_final,
-            "store_errors": self.store_errors,
-            "metrics_scrapes": self.metrics_scrapes,
-            "metrics_violations": self.metrics_violations,
-            "failures": self.failures,
-        }
+        """The report as one JSON-native document (without ``final_stats``)."""
+        fields = asdict(self)
+        del fields["final_stats"]
+        return {"ok": self.ok, **fields}
 
 
 def format_report(report: LoadTestReport) -> str:
@@ -291,10 +268,11 @@ def _prioritize() -> None:  # pragma: no cover - runs in the child pre-exec
 
 
 class ServerProcess:
-    """A real ``python -m repro serve`` subprocess, killable mid-burst.
+    """A real service subprocess, killable mid-burst.
 
-    Starts the service on an ephemeral port with fault injection
-    enabled, parses the served URL off stderr, and supports the
+    Starts the fault server ``python -m repro.service.faults`` (or, with
+    ``fault_injection=False``, ``python -m repro serve``) on an ephemeral
+    port, parses the served URL off stderr, and supports the
     harness's killed-worker fault: :meth:`kill` SIGKILLs the process
     (clients see hard connection errors, exactly like a crashed
     production worker) and :meth:`restart` brings a fresh process back
@@ -332,34 +310,21 @@ class ServerProcess:
         self._drain: threading.Thread | None = None
 
     def _command(self, port: int) -> list[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            str(port),
-            "--seed",
-            str(self.seed),
-        ]
-        if self.max_queue is not None:
-            command += ["--max-queue", str(self.max_queue)]
-        if self.max_pending is not None:
-            command += ["--max-pending", str(self.max_pending)]
-        if self.max_inflight is not None:
-            command += ["--max-inflight", str(self.max_inflight)]
-        if self.default_budget is not None:
-            command += ["--default-budget", str(self.default_budget)]
-        if self.answer_cache_size is not None:
-            command += ["--answer-cache-size", str(self.answer_cache_size)]
-        if self.fault_injection:
-            command += ["--enable-fault-injection"]
-        if self.workers:
-            command += ["--workers", str(self.workers)]
-        if self.cache_dir is not None:
-            command += ["--cache-dir", self.cache_dir]
+        entry = ["repro.service.faults"] if self.fault_injection else ["repro", "serve"]
+        command = [sys.executable, "-m", *entry, "--host", "127.0.0.1"]
+        for flag, value in (
+            ("--port", port),
+            ("--seed", self.seed),
+            ("--max-queue", self.max_queue),
+            ("--max-pending", self.max_pending),
+            ("--max-inflight", self.max_inflight),
+            ("--default-budget", self.default_budget),
+            ("--answer-cache-size", self.answer_cache_size),
+            ("--workers", self.workers or None),
+            ("--cache-dir", self.cache_dir),
+        ):
+            if value is not None:
+                command += [flag, str(value)]
         return command
 
     def start(self, port: int = 0) -> str:
@@ -818,7 +783,6 @@ def run_loadtest(
             max_inflight=config.max_inflight,
             default_budget=config.default_budget,
             answer_cache_size=config.answer_cache_size,
-            fault_injection=True,
             workers=config.workers,
             cache_dir=cache_dir,
         )
@@ -842,6 +806,14 @@ def _run_phases(
     mix = _build_mix(config)
     recorder = _Recorder()
     control = ServiceClient(url, timeout=config.request_timeout)
+    # The storm keeps hammering the admission bounds while faults go in,
+    # so deterministic probes must retry through 429s.
+    retrying = ServiceClient(
+        url, timeout=config.request_timeout, max_retries=50, retry_after_cap=0.1
+    )
+
+    def fault(document: Mapping[str, Any]) -> dict:
+        return control._call("POST", "/_fault", document)
 
     # Phase 1: warm — sequential, fixed labels, cold bit-identity.
     for item in mix:
@@ -921,18 +893,14 @@ def _run_phases(
     beat = config.fault_seconds / 6
     time.sleep(beat)
     if config.inject_slow:
-        control._call("POST", "/_fault", {"slow_seconds": config.slow_seconds})
+        fault({"slow_seconds": config.slow_seconds})
     time.sleep(beat)
     if config.inject_poison:
-        poison = control._call("POST", "/_fault", {"poison_cache": True})
+        poison = fault({"poison_cache": True})
         report.final_stats["poison_injected"] = poison.get("poisoned_entries", 0)
         # Read the poisoned entries back (fixed labels hit the cache) so
         # detection provably happens *before* any kill-fault restart
-        # resets the server's counters.  The storm is still hammering the
-        # admission bounds, so this pass must retry through 429s.
-        retrying = ServiceClient(
-            url, timeout=config.request_timeout, max_retries=50, retry_after_cap=0.1
-        )
+        # resets the server's counters.
         for item in mix:
             _call_item(
                 retrying, item, item.request.label, phase="faults", recorder=recorder
@@ -949,7 +917,7 @@ def _run_phases(
         # clients — _score asserts the respawn happened and the usual
         # transport/bit-identity invariants catch any leakage.
         try:
-            killed = control._call("POST", "/_fault", {"kill_worker": 0})
+            killed = fault({"kill_worker": 0})
         except ServiceClientError as error:
             report.failures.append(f"worker-kill fault was rejected: {error}")
         else:
@@ -961,15 +929,9 @@ def _run_phases(
         # so re-admissions hit both — the server must enter degraded
         # mode while keeping answers clean (the usual 5xx and
         # bit-identity invariants stay armed throughout).
-        control._call("POST", "/_fault", {"spill_sessions": True})
-        faulted = control._call(
-            "POST",
-            "/_fault",
-            {
-                "disk_enospc": True,
-                "disk_bitflip": config.seed + 1,
-                "drop_sessions": True,
-            },
+        fault({"spill_sessions": True})
+        faulted = fault(
+            {"disk_enospc": True, "disk_bitflip": config.seed + 1, "drop_sessions": True}
         )
         report.final_stats["disk_fault"] = faulted
         # Deterministic probe (the storm races): a unique-label request
@@ -977,9 +939,6 @@ def _run_phases(
         # bitflipped entry — a corrupt load served by recompute.  The
         # recomputed session is dirty, so the spill that follows hits
         # the injected ENOSPC.  Both must trip the degraded gauge.
-        retrying = ServiceClient(
-            url, timeout=config.request_timeout, max_retries=50, retry_after_cap=0.1
-        )
         _call_item(
             retrying,
             mix[0],
@@ -987,7 +946,7 @@ def _run_phases(
             phase="faults",
             recorder=recorder,
         )
-        control._call("POST", "/_fault", {"spill_sessions": True})
+        fault({"spill_sessions": True})
         report.degraded_peak = int(
             control.metrics().get("repro_degraded_mode", 0)
         )
@@ -996,15 +955,11 @@ def _run_phases(
         server.restart()
     time.sleep(beat)
     if config.inject_slow:
-        control._call("POST", "/_fault", {"reset": True})
+        fault({"reset": True})
     if config.inject_disk_fault:
         # Heal the disk and exercise the store again: the next spill
         # succeeds, so degraded mode must clear (level-triggered).
-        control._call(
-            "POST",
-            "/_fault",
-            {"disk_enospc": False, "disk_bitflip": 0, "spill_sessions": True},
-        )
+        fault({"disk_enospc": False, "disk_bitflip": 0, "spill_sessions": True})
         report.degraded_final = int(
             control.metrics().get("repro_degraded_mode", 0)
         )
@@ -1018,9 +973,7 @@ def _run_phases(
     final_stats = control.stats()
     report.final_stats["stats"] = final_stats
     report.worker_restarts = sum(
-        int(entry.get("restarts", 0))
-        for entry in final_stats.get("shards") or []
-        if isinstance(entry, dict)
+        int(entry.get("restarts", 0)) for entry in final_stats.get("shards") or []
     )
     cache_stats = final_stats.get("answer_cache") or {}
     # A kill-fault restart resets the counter; keep the pre-kill reading.

@@ -386,7 +386,7 @@ class SessionRegistry:
         """Spill every warm session's cache entry, keeping them warm.
 
         Returns the number of handles spilled.  Exercises the store
-        immediately, so the fault-injection plane (``POST /_fault``) can
+        immediately, so the load-test fault server (``POST /_fault``) can
         observe injected disk faults — and recovery from them — without
         waiting for organic eviction traffic.
         """

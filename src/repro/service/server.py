@@ -14,41 +14,20 @@ Endpoints (request/response JSON specified in ``docs/FORMATS.md``):
 * ``POST /answers`` — single-request shape without ``answer``; expands
   every candidate tuple of ``Q(D)`` (the workload format's
   ``"answers": "all"``) and responds ``{"answers": [row, ...]}``.
-* ``GET /healthz`` — liveness + session count.
-* ``GET /stats`` — registry, micro-batcher, answer-cache and server
-  counters as one JSON document.
+* ``GET /healthz`` — liveness, session count and shard liveness.
+* ``GET /stats`` — registry, micro-batcher, answer-cache, shard and
+  server counters as one JSON document.
 * ``GET /metrics`` — the same operational signals in Prometheus text
   exposition format (:mod:`repro.service.metrics`).
 
-Operational hardening (PR 7):
-
-* **Backpressure** — the micro-batcher's queues are bounded
-  (``max_queue`` per group, ``max_pending`` total); a request that
-  would exceed them is refused with ``429`` and a ``Retry-After``
-  header *before* any work is enqueued, so saturation degrades into
-  fast rejections instead of unbounded queueing.
-* **Deadline budgets** — a per-request ``budget_seconds`` document
-  field (``408`` on expiry) and a server-wide ``default_budget``
-  (``504``); expiry cancels the request's queued work, so a timed-out
-  request stops consuming capacity.
-* **Answer cache** — a digest-verified LRU of served result rows
-  (:class:`~repro.service.cache.AnswerCache`) keyed by everything that
-  determines a row; hits bypass the batcher entirely.  Seeded servers
-  only — unseeded estimates are not reproducible, so they are never
-  memoized.
-* **Fault injection** (``fault_injection=True`` / ``serve
-  --enable-fault-injection``) — a ``POST /_fault`` endpoint the
-  load-test harness uses to slow handlers, poison cache entries, and
-  (PR 9) inject disk faults — ``disk_enospc`` / ``disk_bitflip``
-  install a persistent :mod:`repro.engine.fsfault` plan, and
-  ``spill_sessions`` / ``drop_sessions`` exercise the store so the
-  fault (and recovery) is observable immediately; absent (404) in
-  normal operation.
-* **Degraded-mode storage** (PR 9) — registry warm-start/spill
-  failures are absorbed and accounted
-  (``repro_store_errors_total{op,kind}``, ``repro_degraded_mode``,
-  ``storage`` sections in ``/healthz`` and ``/stats``); a broken disk
-  degrades the cache, never the answers.
+**One execution path.**  The server parses, answers from its answer
+cache, and hands every other instance group to a pool of shards
+(:mod:`repro.service.sharding`), whose per-shard documents feed the
+monitoring endpoints.  Hardening (``docs/ARCHITECTURE.md``): bounded
+queues refuse overflow with ``429`` + ``Retry-After``, deadline budgets
+(``408`` / ``504``) cancel expired work, the digest-verified answer cache
+serves seeded repeats, and cache-store failures degrade the cache (an
+accounted degraded mode), never the answers.
 
 Instance documents must be inline: the on-disk workload format's
 "instance by file path" convenience is rejected here (a network service
@@ -72,14 +51,19 @@ import threading
 import time
 from typing import Any, Callable, Mapping
 
-from ..engine import fsfault as _fsfault
 from ..engine.batch import BatchRequest, BatchResult
 from ..io import InstanceFormatError, batch_result_to_row, workload_from_dict
-from .batching import MODES, MicroBatcher, QueueFull
+from .batching import MODES, QueueFull
 from .cache import DEFAULT_ANSWER_CACHE_SIZE, AnswerCache
 from .metrics import LATENCY_BUCKETS, WIDTH_BUCKETS, MetricsRegistry
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
-from .sharding import WorkerConfig, WorkerPool, aggregate_shard_stats
+from .sharding import (
+    LocalPool,
+    Shard,
+    WorkerConfig,
+    WorkerPool,
+    aggregate_shard_stats,
+)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
@@ -125,13 +109,8 @@ class _BadRequest(Exception):
 
 
 class _ShuttingDown(Exception):
-    """The server is draining for shutdown: queued work fails as 503.
-
-    The graceful-shutdown contract: :meth:`EstimationServer.stop` first
-    *drains* queued batch rounds, and only waiters that outlive the
-    drain timeout are failed with this — never silently dropped (the
-    pre-fix behavior when the loop closed under them).
-    """
+    """Queued work that outlived :meth:`EstimationServer.stop`'s drain
+    timeout fails with this, as a 503 — never silently dropped."""
 
 
 class _DeadlineExceeded(Exception):
@@ -242,27 +221,24 @@ def _single_request(
 
 
 class EstimationServer:
-    """The asyncio HTTP server over one registry + micro-batcher.
+    """The asyncio HTTP server in front of a pool of shards.
 
     Hardening knobs (all optional; ``None``/default = pre-hardening
-    behavior): ``max_queue`` / ``max_pending`` bound the micro-batcher's
-    queued requests per group / in total, ``default_budget`` is the
-    server-wide deadline (seconds) applied to requests that bring no
-    ``budget_seconds`` of their own, ``answer_cache_size`` sizes the
-    memoized answer cache (0 disables it), and ``fault_injection``
-    enables the ``POST /_fault`` test surface.
+    behavior): ``max_queue`` / ``max_pending`` bound each shard
+    micro-batcher's queued requests per group / in total,
+    ``max_inflight`` bounds the estimation requests being handled at
+    once, ``default_budget`` is the server-wide deadline (seconds) for
+    requests without their own ``budget_seconds``, and
+    ``answer_cache_size`` sizes the answer cache (0 disables it).
 
-    ``workers=N`` (``serve --workers N``) switches the server into
-    **sharded router mode**: estimation no longer runs in this process —
-    a :class:`~repro.service.sharding.WorkerPool` of ``N`` warm worker
-    processes (each with its own registry + micro-batcher, built from
-    this server's configuration) executes groups routed by
-    :func:`~repro.service.sharding.shard_for_key` over the registry key.
-    The local registry then only derives keys and seeds (it never admits
-    sessions), the answer cache and admission bounds stay router-side,
-    and ``/stats`` / ``/metrics`` aggregate per-shard breakdowns under a
-    ``shard`` label.  Results are bit-identical at any worker count —
-    placement cannot matter because group seeds are content-derived.
+    Execution goes through one pool (:mod:`repro.service.sharding`): a
+    one-shard :class:`~repro.service.sharding.LocalPool` over
+    ``registry`` itself by default, so embedding callers see every
+    session the server admits; with ``workers=N`` a
+    :class:`~repro.service.sharding.WorkerPool` of ``N`` warm worker
+    processes built from this server's configuration, and ``registry``
+    only derives keys and seeds.  Results are bit-identical at any
+    worker count — group seeds are content-derived.
     """
 
     def __init__(
@@ -271,13 +247,11 @@ class EstimationServer:
         *,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
-        executor=None,
         max_queue: int | None = None,
         max_pending: int | None = None,
         max_inflight: int | None = None,
         default_budget: float | None = None,
         answer_cache_size: int = DEFAULT_ANSWER_CACHE_SIZE,
-        fault_injection: bool = False,
         workers: int | None = None,
     ):
         if default_budget is not None and default_budget <= 0:
@@ -286,21 +260,39 @@ class EstimationServer:
             raise ValueError("answer_cache_size must be >= 0")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be positive (or None)")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be positive (or None for in-process)")
-        self.workers = workers or 0
-        self.worker_pool: WorkerPool | None = None
-        self._shard_snapshot: list[dict | None] = []
         self.registry = registry if registry is not None else SessionRegistry()
+        self.max_queue = max_queue
+        self.max_pending = max_pending
         self.metrics = MetricsRegistry()
         self._build_metrics()
-        self.batcher = MicroBatcher(
-            self.registry,
-            executor=executor,
-            max_queue=max_queue,
-            max_pending=max_pending,
-            on_batch=self._observe_batch,
-        )
+        if workers is None:
+            self.pool: LocalPool | WorkerPool = LocalPool(
+                Shard(
+                    self.registry,
+                    max_queue=max_queue,
+                    max_pending=max_pending,
+                    on_batch=self._observe_batch,
+                )
+            )
+        else:
+            store = self.registry.store
+            self.pool = WorkerPool(
+                WorkerConfig(
+                    seed=self.registry.seed,
+                    cache_dir=None if store is None else store.directory,
+                    max_sessions=self.registry.max_sessions,
+                    max_queue=max_queue,
+                    max_pending=max_pending,
+                ),
+                workers,
+                on_restart=lambda shard: self._m_worker_restarts.labels(
+                    str(shard)
+                ).inc(),
+            )
+        # The latest per-shard documents and their fold, refreshed by
+        # every monitoring request (metric callbacks must not await).
+        self._shards: list[dict] = []
+        self._totals = aggregate_shard_stats(self._shards)
         self.default_budget = default_budget
         self.max_inflight = max_inflight
         self._inflight = 0
@@ -308,18 +300,41 @@ class EstimationServer:
         self.answer_cache = (
             AnswerCache(answer_cache_size) if answer_cache_size else None
         )
-        self.fault_injection = fault_injection
-        self._faults: dict[str, float] = {
-            "slow_seconds": 0.0,
-            "disk_enospc": 0.0,
-            "disk_bitflip": 0.0,
-        }
         self.host = host
         self.port = port
         self.address: tuple[str, int] | None = None
         self.requests_served = 0
         self._server: asyncio.AbstractServer | None = None
         self._started_at: float | None = None
+
+    @classmethod
+    def build(
+        cls,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
+        *,
+        seed: int | None = None,
+        cache_dir: str | None = None,
+        max_sessions: int | None = None,
+        answer_cache_size: int | None = None,
+        **options,
+    ) -> "EstimationServer":
+        """A server of this class from the ``serve`` arguments (``None``
+        selects the default session and answer-cache capacities)."""
+        if max_sessions is None:
+            max_sessions = DEFAULT_MAX_SESSIONS
+        if answer_cache_size is None:
+            answer_cache_size = DEFAULT_ANSWER_CACHE_SIZE
+        registry = SessionRegistry(
+            seed=seed, cache_dir=cache_dir, max_sessions=max_sessions
+        )
+        return cls(
+            registry,
+            host=host,
+            port=port,
+            answer_cache_size=answer_cache_size,
+            **options,
+        )
 
     # -- metrics -----------------------------------------------------------------------
 
@@ -361,25 +376,30 @@ class EstimationServer:
             "Estimation request rows served (cache hits included).",
             callback=lambda: self.requests_served,
         )
+        # Shard-derived series read the fold of the latest per-shard
+        # documents (refreshed by every monitoring request).
+        def summed(field: str) -> Callable[[], int]:
+            return lambda: self._totals["registry"][field]
+
         metrics.gauge(
             "repro_sessions",
-            "Warm sessions currently held by the registry.",
-            callback=lambda: len(self.registry.handles()),
+            "Warm sessions held, summed over the shards.",
+            callback=summed("sessions"),
         )
         metrics.counter(
             "repro_registry_hits_total",
-            "Warm session registry hits.",
-            callback=lambda: self.registry.hits,
+            "Registry hits, summed over the shards.",
+            callback=summed("hits"),
         )
         metrics.counter(
             "repro_registry_misses_total",
-            "Warm session registry misses (cold admissions).",
-            callback=lambda: self.registry.misses,
+            "Registry misses (cold admissions), summed over the shards.",
+            callback=summed("misses"),
         )
         metrics.counter(
             "repro_registry_evictions_total",
-            "Warm sessions evicted from the registry LRU.",
-            callback=lambda: self.registry.evictions,
+            "Sessions evicted from the registry LRUs, summed over the shards.",
+            callback=summed("evictions"),
         )
         # Store failures arrive from worker threads (spills, admissions),
         # so the labeled counter is driven by the registry log's listener
@@ -396,9 +416,9 @@ class EstimationServer:
         )
         metrics.gauge(
             "repro_degraded_mode",
-            "1 while the most recent cache-store interaction failed "
-            "(this process or any shard), 0 otherwise.",
-            callback=self._storage_degraded,
+            "1 while the most recent cache-store interaction of any shard "
+            "failed, 0 otherwise.",
+            callback=lambda: int(self._totals["degraded"]),
         )
         metrics.counter(
             "repro_answer_cache_hits_total",
@@ -427,8 +447,8 @@ class EstimationServer:
         )
         metrics.gauge(
             "repro_pending_requests",
-            "Estimation requests queued in the micro-batcher.",
-            callback=lambda: self.batcher._pending_total,
+            "Estimation requests queued in the shard micro-batchers.",
+            callback=lambda: self._totals["batching"]["pending_requests"],
         )
         # The loadtest harness uses this as the server-lifetime marker: a
         # decrease between scrapes means a restart, which legitimately
@@ -442,98 +462,48 @@ class EstimationServer:
                 else time.monotonic() - self._started_at
             ),
         )
-        if self.workers:
-            # Per-shard breakdowns.  The restart counter is router-owned
-            # (monotone across respawns); the per-shard registry/batcher
-            # series are *gauges* because a respawned worker's counters
-            # restart from zero — a labeled counter would violate the
-            # monotonicity invariant the loadtest asserts.
-            self._m_worker_restarts = metrics.counter(
-                "repro_worker_restarts_total",
-                "Worker processes respawned after dying, by shard.",
-                ("shard",),
-            )
+        # Per-shard breakdowns.  The restart counter is router-owned
+        # (monotone across respawns); the per-shard registry/batcher
+        # series are *gauges* because a respawned worker's counters
+        # restart from zero — a labeled counter would violate the
+        # monotonicity invariant the loadtest asserts.
+        self._m_worker_restarts = metrics.counter(
+            "repro_worker_restarts_total",
+            "Worker processes respawned after dying, by shard.",
+            ("shard",),
+        )
+        metrics.gauge(
+            "repro_shard_workers",
+            "Configured shard count (1 when serving in-process).",
+            callback=lambda: self.pool.workers,
+        )
+        for name, section, field in (
+            ("repro_shard_sessions", "registry", "sessions"),
+            ("repro_shard_registry_hits", "registry", "hits"),
+            ("repro_shard_registry_misses", "registry", "misses"),
+            ("repro_shard_store_errors", "registry", "store_errors"),
+            ("repro_shard_pending_requests", "batching", "pending_requests"),
+            ("repro_shard_batches_run", "batching", "batches_run"),
+        ):
             metrics.gauge(
-                "repro_shard_workers",
-                "Configured worker shard count.",
-                callback=lambda: self.workers,
+                name,
+                f"Each shard's latest {section} {field} (counts of a respawned "
+                "worker restart from zero).",
+                callback=self._shard_gauge(section, field),
+                labelnames=("shard",),
             )
-            for name, help_text, section, field in (
-                (
-                    "repro_shard_sessions",
-                    "Warm sessions held per shard registry.",
-                    "registry",
-                    "sessions",
-                ),
-                (
-                    "repro_shard_registry_hits",
-                    "Registry hits per shard (resets on respawn).",
-                    "registry",
-                    "hits",
-                ),
-                (
-                    "repro_shard_registry_misses",
-                    "Registry misses per shard (resets on respawn).",
-                    "registry",
-                    "misses",
-                ),
-                (
-                    "repro_shard_store_errors",
-                    "Cache-store failures per shard registry (resets on respawn).",
-                    "registry",
-                    "store_errors",
-                ),
-                (
-                    "repro_shard_pending_requests",
-                    "Micro-batcher queued requests per shard.",
-                    "batching",
-                    "pending_requests",
-                ),
-                (
-                    "repro_shard_batches_run",
-                    "Coalesced batches executed per shard (resets on respawn).",
-                    "batching",
-                    "batches_run",
-                ),
-            ):
-                metrics.gauge(
-                    name,
-                    help_text,
-                    callback=self._shard_gauge(section, field),
-                    labelnames=("shard",),
-                )
 
     def _shard_gauge(self, section: str, field: str):
-        """A labeled-gauge callback reading the latest shard snapshot.
-
-        The snapshot refreshes on every ``/stats`` and ``/metrics``
-        request (see :meth:`_refresh_shards`) — gauge callbacks must not
-        await, so rendering reads the cached documents.
-        """
+        """A labeled-gauge callback reading the latest shard documents."""
 
         def read() -> dict[str, float]:
-            series: dict[str, float] = {}
-            for entry in self._shard_snapshot:
-                if not entry or not entry.get(section):
-                    continue
-                series[str(entry.get("shard"))] = entry[section].get(field, 0)
-            return series
+            return {
+                str(entry["shard"]): entry[section].get(field, 0)
+                for entry in self._shards
+                if entry.get(section)
+            }
 
         return read
-
-    def _storage_degraded(self) -> int:
-        """1 while any registry's last store interaction failed.
-
-        Covers the in-process registry and — in sharded mode — the most
-        recent shard snapshot (refreshed on every ``/stats`` and
-        ``/metrics`` request, so scraping keeps it current).
-        """
-        if self.registry.storage.degraded:
-            return 1
-        for entry in self._shard_snapshot:
-            if entry and (entry.get("registry") or {}).get("degraded"):
-                return 1
-        return 0
 
     def _observe_batch(self, key: str, seconds: float, width: int) -> None:
         self._m_batch_seconds.labels(key[:12]).observe(seconds)
@@ -541,29 +511,10 @@ class EstimationServer:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _worker_config(self) -> WorkerConfig:
-        """The picklable recipe each shard builds its own plane from."""
-        registry = self.registry
-        return WorkerConfig(
-            seed=registry.seed,
-            cache_dir=None if registry.store is None else registry.store.directory,
-            max_sessions=registry.max_sessions,
-            max_queue=self.batcher.max_queue,
-            max_pending=self.batcher.max_pending,
-        )
-
     async def start(self) -> tuple[str, int]:
-        """Bind and start serving; returns ``(host, port)`` actually bound
-        (``port=0`` picks an ephemeral port)."""
-        if self.workers and self.worker_pool is None:
-            self.worker_pool = WorkerPool(
-                self._worker_config(),
-                self.workers,
-                on_restart=lambda shard: self._m_worker_restarts.labels(
-                    str(shard)
-                ).inc(),
-            )
-            await self.worker_pool.start()
+        """Start the pool, bind and start serving; returns ``(host, port)``
+        actually bound (``port=0`` picks an ephemeral port)."""
+        await self.pool.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -577,36 +528,21 @@ class EstimationServer:
         await self._server.serve_forever()
 
     async def stop(self, drain_timeout: float = 10.0) -> None:
-        """Stop accepting, drain queued work, then spill warm sessions.
-
-        The graceful-shutdown order: close the listener (no new
-        requests), give queued micro-batcher rounds ``drain_timeout``
-        seconds to complete, fail whatever remains with a clean 503
-        (never a silent drop), stop the worker pool (which SIGTERM-drains
-        each shard), and finally spill the registry to the cache store.
-        """
+        """Stop accepting, give in-flight requests ``drain_timeout``
+        seconds, then stop the pool: each shard drains what is still
+        queued for up to ``drain_timeout`` seconds, fails the rest with a
+        clean 503 (never a silent drop), and spills its registry."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        try:
-            await asyncio.wait_for(self.batcher.drain(), drain_timeout)
-        except asyncio.TimeoutError:
-            pass
-        self.batcher.fail_pending(
-            _ShuttingDown("server shutting down; request was not executed")
-        )
-        # Connection handlers may still be mid-request (e.g. a handler
-        # that had not reached the batcher when it drained); let them
-        # finish writing their responses before the engine goes away.
         pending = {task for task in self._connections if not task.done()}
         if pending:
             await asyncio.wait(pending, timeout=drain_timeout)
-        if self.worker_pool is not None:
-            await self.worker_pool.stop()
-            self.worker_pool = None
-        # Spilling walks session locks — keep it off the event loop.
-        await asyncio.get_running_loop().run_in_executor(None, self.registry.close)
+        await self.pool.stop(
+            drain_timeout,
+            _ShuttingDown("server shutting down; request was not executed"),
+        )
 
     @property
     def url(self) -> str:
@@ -728,16 +664,13 @@ class EstimationServer:
     # -- routing -----------------------------------------------------------------------
 
     def _routes(self) -> dict[str, tuple[str, Callable]]:
-        routes = {
+        return {
             "/healthz": ("GET", self._healthz),
             "/stats": ("GET", self._stats),
             "/metrics": ("GET", self._metrics_endpoint),
             "/estimate": ("POST", self._estimate),
             "/answers": ("POST", self._answers),
         }
-        if self.fault_injection:
-            routes["/_fault"] = ("POST", self._fault)
-        return routes
 
     async def _dispatch(self, method: str, path: str, body: bytes) -> _Response:
         routes = self._routes()
@@ -751,10 +684,7 @@ class EstimationServer:
             return _json_response(405, {"error": f"{path} expects {expected}"})
         try:
             if expected == "GET":
-                result = endpoint()
-                if asyncio.iscoroutine(result):
-                    # Sharded monitoring endpoints poll the workers.
-                    result = await result
+                result = await endpoint()
             elif path in ("/estimate", "/answers"):
                 result = await self._admit_request(endpoint, body)
             else:
@@ -796,7 +726,7 @@ class EstimationServer:
                 "inflight",
                 self._inflight,
                 self.max_inflight,
-                self.batcher.retry_after_hint(self._inflight),
+                self.pool.retry_after_hint(self._inflight),
             )
         self._inflight += 1
         try:
@@ -806,191 +736,77 @@ class EstimationServer:
 
     # -- monitoring endpoints ----------------------------------------------------------
 
-    def _healthz(self) -> dict:
+    async def _refresh(self) -> list[dict]:
+        """Poll the pool's per-shard documents and fold them into totals
+        (the cached fold also feeds the metric callbacks)."""
+        self._shards = await self.pool.stats()
+        self._totals = aggregate_shard_stats(self._shards)
+        return self._shards
+
+    def _workers_document(self) -> dict:
+        """Shard count + per-shard liveness from the latest documents."""
+        return {
+            "count": self.pool.workers,
+            "alive": [entry["alive"] for entry in self._shards],
+        }
+
+    async def _healthz(self) -> dict:
         # Degraded storage does not fail liveness: the whole point of
         # degraded mode is that the service keeps answering (by
         # recomputing) while the disk is broken.
-        storage = self.registry.storage.snapshot()
-        document = {
+        await self._refresh()
+        totals = self._totals
+        last_errors = [
+            entry["registry"]["storage"]["last_error"]
+            for entry in self._shards
+            if entry.get("registry")
+        ]
+        return {
             "status": "ok",
-            "sessions": len(self.registry.handles()),
+            "sessions": totals["registry"]["sessions"],
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "storage": {
-                "degraded": bool(self._storage_degraded()),
-                "store_errors": storage["total"],
-                "last_error": storage["last_error"],
+                "degraded": totals["degraded"],
+                "store_errors": totals["registry"]["store_errors"],
+                "last_error": next(filter(None, last_errors), None),
             },
+            "workers": self._workers_document(),
         }
-        if self.workers:
-            document["workers"] = self._workers_document()
-        return document
 
-    def _workers_document(self) -> dict:
-        """Pool size + per-shard liveness (no IPC: ``Process.is_alive``)."""
-        document = {"count": self.workers}
-        if self.worker_pool is not None:
-            document["alive"] = [
-                self.worker_pool.alive(shard) for shard in range(self.workers)
-            ]
-        return document
-
-    async def _refresh_shards(self) -> list[dict | None]:
-        """Poll the worker pool and cache the per-shard stat documents
-        (the cached snapshot also feeds the labeled shard gauges)."""
-        self._shard_snapshot = await self.worker_pool.stats()
-        return self._shard_snapshot
-
-    def _stats(self):
-        if self.worker_pool is not None:
-            return self._stats_sharded()
-        return self._stats_document(None)
-
-    async def _stats_sharded(self) -> dict:
-        return self._stats_document(await self._refresh_shards())
-
-    def _stats_document(self, per_shard: list[dict | None] | None) -> dict:
-        registry_stats = self.registry.stats()
-        batching_stats = self.batcher.stats()
-        if per_shard is not None:
-            # Router mode: the local registry/batcher never execute, so
-            # the meaningful totals are the shard aggregates (the sum
-            # contract is pinned by tests over aggregate_shard_stats).
-            aggregated = aggregate_shard_stats(per_shard)
-            registry_stats = {**registry_stats, **aggregated["registry"]}
-            batching_stats = {**batching_stats, **aggregated["batching"]}
-            # "degraded" is a level, not a counter — fold with OR, not sum.
-            registry_stats["degraded"] = bool(self._storage_degraded())
-        document = {
+    async def _stats(self) -> dict:
+        await self._refresh()
+        totals = self._totals
+        return {
             "requests_served": self.requests_served,
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "default_budget": self.default_budget,
             "max_inflight": self.max_inflight,
             "inflight": self._inflight,
-            "registry": registry_stats,
-            "batching": batching_stats,
+            "registry": {
+                **self.registry.stats(),
+                **totals["registry"],
+                "degraded": totals["degraded"],
+                "groups": totals["groups"],
+            },
+            "batching": {
+                "max_queue": self.max_queue,
+                "max_pending": self.max_pending,
+                **totals["batching"],
+            },
             "answer_cache": (
                 self.answer_cache.stats() if self.answer_cache else None
             ),
+            "workers": self._workers_document(),
+            "shards": self._shards,
         }
-        if per_shard is not None:
-            document["workers"] = self._workers_document()
-            document["shards"] = [entry or {} for entry in per_shard]
-        if self.fault_injection:
-            document["faults"] = dict(self._faults)
-        return document
 
-    def _metrics_endpoint(self):
-        if self.worker_pool is not None:
-            return self._metrics_sharded()
-        return self._metrics_response()
-
-    async def _metrics_sharded(self) -> _Response:
-        await self._refresh_shards()
-        return self._metrics_response()
-
-    def _metrics_response(self) -> _Response:
+    async def _metrics_endpoint(self) -> _Response:
+        await self._refresh()
         return _Response(
             200,
             self.metrics.render().encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
-
-    # -- fault injection (test surface) ------------------------------------------------
-
-    def _apply_disk_faults(self) -> None:
-        """Install (or clear) the fsfault shim matching ``self._faults``.
-
-        One combined plan: ``disk_enospc`` fails every store write with
-        ``ENOSPC``; ``disk_bitflip`` flips one seeded bit per store read.
-        Both off restores the passthrough shim.
-        """
-        enospc = bool(self._faults["disk_enospc"])
-        bitflip = int(self._faults["disk_bitflip"])
-        if not enospc and not bitflip:
-            _fsfault.reset()
-            return
-        _fsfault.install(
-            _fsfault.FaultyOps(
-                _fsfault.FaultPlan(
-                    write_enospc=enospc,
-                    bitflip_seed=bitflip if bitflip else None,
-                )
-            )
-        )
-
-    async def _fault(self, document: Mapping[str, Any]) -> dict:
-        """Inject operational faults (only routed with ``fault_injection``)."""
-        report: dict[str, Any] = {}
-        if document.get("reset"):
-            self._faults["slow_seconds"] = 0.0
-            self._faults["disk_enospc"] = 0.0
-            self._faults["disk_bitflip"] = 0.0
-            self._apply_disk_faults()
-            report["reset"] = True
-        if "slow_seconds" in document:
-            value = document["slow_seconds"]
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise _BadRequest("'slow_seconds' must be a non-negative number")
-            self._faults["slow_seconds"] = float(value)
-        if "disk_enospc" in document or "disk_bitflip" in document:
-            if self.worker_pool is not None:
-                # The shim is process-local; in sharded mode the store
-                # lives in the workers, where it would silently miss.
-                raise _BadRequest(
-                    "disk faults require in-process mode (no --workers)"
-                )
-            if "disk_enospc" in document:
-                value = document["disk_enospc"]
-                if not isinstance(value, bool):
-                    raise _BadRequest("'disk_enospc' must be a boolean")
-                self._faults["disk_enospc"] = float(value)
-            if "disk_bitflip" in document:
-                value = document["disk_bitflip"]
-                if value is True:
-                    value = 1
-                if value is False:
-                    value = 0
-                if not isinstance(value, int) or value < 0:
-                    raise _BadRequest(
-                        "'disk_bitflip' must be a boolean or a positive "
-                        "integer seed (0/false clears it)"
-                    )
-                self._faults["disk_bitflip"] = float(value)
-            self._apply_disk_faults()
-        if document.get("poison_cache"):
-            if self.answer_cache is None:
-                raise _BadRequest("answer cache is disabled; nothing to poison")
-            count = document.get("poison_count")
-            if count is not None and (not isinstance(count, int) or count < 0):
-                raise _BadRequest("'poison_count' must be a non-negative integer")
-            report["poisoned_entries"] = self.answer_cache.poison(count)
-        if "kill_worker" in document:
-            shard = document["kill_worker"]
-            if self.worker_pool is None:
-                raise _BadRequest("'kill_worker' requires sharded mode (--workers)")
-            if (
-                not isinstance(shard, int)
-                or isinstance(shard, bool)
-                or not 0 <= shard < self.workers
-            ):
-                raise _BadRequest(
-                    f"'kill_worker' must be a shard index in [0, {self.workers})"
-                )
-            report["killed_worker"] = shard
-            report["killed_pid"] = self.worker_pool.kill(shard)
-        if document.get("spill_sessions"):
-            # Exercise the store now (after any disk-fault change above),
-            # so injected failures — and recovery — surface immediately
-            # instead of waiting for organic eviction traffic.  Spilling
-            # walks session locks: keep it off the event loop.
-            report["spilled_sessions"] = await asyncio.get_running_loop(
-            ).run_in_executor(None, self.registry.spill_all)
-        if document.get("drop_sessions"):
-            # Force the next request per group to re-admit from disk
-            # (warm-start reads then run under any injected read fault).
-            report["dropped_sessions"] = self.registry.drop_sessions()
-        report["faults"] = dict(self._faults)
-        return report
 
     # -- estimation endpoints ----------------------------------------------------------
 
@@ -1019,17 +835,10 @@ class EstimationServer:
         timed-out request stops consuming capacity.
         """
         budget, status = self._budget_for(document)
-        delay = self._faults["slow_seconds"]
-
-        async def timed():
-            if delay:
-                await asyncio.sleep(delay)
-            return await work()
-
         if budget is None:
-            return await timed()
+            return await work()
         try:
-            return await asyncio.wait_for(timed(), budget)
+            return await asyncio.wait_for(work(), budget)
         except asyncio.TimeoutError:
             self._m_rejected.labels("deadline").inc()
             raise _DeadlineExceeded(status, budget) from None
@@ -1081,7 +890,7 @@ class EstimationServer:
     async def _run_rows(
         self, requests: list[BatchRequest], mode: str
     ) -> list[dict]:
-        """Serve every request as a JSON row: answer cache, then batcher."""
+        """Serve every request as a JSON row: answer cache, then the pool."""
         rows: list[dict | None] = [None] * len(requests)
         use_cache = self.answer_cache is not None and self.registry.seed is not None
         keys: list[tuple | None] = [None] * len(requests)
@@ -1111,41 +920,28 @@ class EstimationServer:
     ) -> list[BatchResult]:
         """Fan one parsed request list out per group and reassemble.
 
-        In-process mode submits each group to the local micro-batcher;
-        sharded mode routes each group to its worker (one ``estimate``
-        frame per group — coalescing then happens inside the shard's own
-        batcher).  Either way results come back in request order.
+        Each group goes to the pool as one submission, keyed by its
+        registry key (the shard placement); coalescing happens inside
+        the shard's micro-batcher.  Results come back in request order.
         """
         groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
         for position, request in enumerate(requests):
             groups.setdefault(request.group_key(), []).append((position, request))
-        if self.worker_pool is not None:
-            submissions = [
-                self.worker_pool.submit(
+        submissions = []
+        for members in groups.values():
+            first = members[0][1]
+            submissions.append(
+                self.pool.submit(
                     self.registry.key_for(
-                        members[0][1].database,
-                        members[0][1].constraints,
-                        members[0][1].generator,
+                        first.database, first.constraints, first.generator
                     ),
-                    members[0][1].database,
-                    members[0][1].constraints,
-                    members[0][1].generator,
+                    first.database,
+                    first.constraints,
+                    first.generator,
                     [request for _, request in members],
                     mode,
                 )
-                for members in groups.values()
-            ]
-        else:
-            submissions = [
-                self.batcher.submit(
-                    members[0][1].database,
-                    members[0][1].constraints,
-                    members[0][1].generator,
-                    [request for _, request in members],
-                    mode,
-                )
-                for members in groups.values()
-            ]
+            )
         chunks = await asyncio.gather(*submissions)
         results: list[BatchResult | None] = [None] * len(requests)
         for members, chunk in zip(groups.values(), chunks):
@@ -1154,74 +950,49 @@ class EstimationServer:
         return results  # type: ignore[return-value]  # every slot is filled above
 
 
-def serve(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    *,
-    seed: int | None = None,
-    cache_dir: str | None = None,
-    max_sessions: int | None = None,
-    max_queue: int | None = None,
-    max_pending: int | None = None,
-    max_inflight: int | None = None,
-    default_budget: float | None = None,
-    answer_cache_size: int | None = None,
-    fault_injection: bool = False,
-    workers: int | None = None,
-) -> int:
+def serve(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT, **options) -> int:
     """Run the estimation service until interrupted (the CLI entry point).
 
-    Builds a :class:`SessionRegistry` from the arguments, binds, prints
-    the served URL to stderr, and blocks.  ``workers=N`` runs the
-    sharded multi-process plane (one warm registry per shard; see
-    :class:`EstimationServer`).  SIGTERM and SIGINT both shut down
-    gracefully: queued batch waiters are drained (or failed with a clean
-    503 past the drain timeout) and warm sessions are spilled to the
-    cache store before the loop closes — in both single-process and
-    sharded modes.  Returns ``0`` on clean shutdown.
+    ``options`` (``seed``, ``cache_dir``, ``max_sessions``, ``max_queue``,
+    ``max_pending``, ``max_inflight``, ``default_budget``,
+    ``answer_cache_size``, ``workers``) go to :meth:`EstimationServer.build`;
+    :func:`run_server` runs the result and returns ``0`` on clean shutdown.
+    """
+    return run_server(EstimationServer.build(host, port, **options))
+
+
+def run_server(server: EstimationServer) -> int:
+    """Serve a built server until SIGTERM or SIGINT; returns ``0``.
+
+    Binds, prints the served URL to stderr, and blocks.  Both signals
+    shut down gracefully (see :meth:`EstimationServer.stop`): queued
+    batch waiters are drained (or failed with a clean 503 past the drain
+    timeout) and warm sessions are spilled to the cache store before the
+    loop closes — whatever pool the server runs on.
     """
     # A mixed IO/CPU process: under a request flood the event-loop
     # thread would otherwise keep the GIL for the default 5 ms switch
     # interval while an executor thread sits mid-batch — measured to
     # inflate a ~0.1 ms batch to ~3 ms wall and admitted tail latency
     # by 10x.  A finer interval trades a sliver of throughput for
-    # bounded tails; process-wide, so set only in this CLI entry point.
+    # bounded tails; process-wide, so set only in this entry point.
     sys.setswitchinterval(0.001)
-    registry = SessionRegistry(
-        seed=seed,
-        cache_dir=cache_dir,
-        max_sessions=DEFAULT_MAX_SESSIONS if max_sessions is None else max_sessions,
-    )
+    registry = server.registry
+    cache_dir = None if registry.store is None else registry.store.directory
 
     async def _main() -> None:
-        server = EstimationServer(
-            registry,
-            host=host,
-            port=port,
-            max_queue=max_queue,
-            max_pending=max_pending,
-            max_inflight=max_inflight,
-            default_budget=default_budget,
-            answer_cache_size=(
-                DEFAULT_ANSWER_CACHE_SIZE
-                if answer_cache_size is None
-                else answer_cache_size
-            ),
-            fault_injection=fault_injection,
-            workers=workers,
-        )
         bound_host, bound_port = await server.start()
         print(
             f"repro estimation service on http://{bound_host}:{bound_port} "
-            f"(seed={seed}, "
-            f"cache_dir={cache_dir}, max_sessions={registry.max_sessions}, "
-            f"workers={server.workers or 1})",
+            f"(seed={registry.seed}, cache_dir={cache_dir}, "
+            f"max_sessions={registry.max_sessions}, "
+            f"workers={server.pool.workers})",
             file=sys.stderr,
             flush=True,
         )
         # Graceful shutdown: both signals set the stop event, letting
         # stop() drain queued waiters instead of the loop tearing down
-        # underneath them (the pre-fix silent-drop bug).
+        # underneath them.
         stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
         handled: list[int] = []
@@ -1251,16 +1022,17 @@ def serve(
 class BackgroundServer:
     """An :class:`EstimationServer` on a daemon thread, for embedding.
 
-    The harness tests, the E27/E29 benches and the CI smoke jobs all use
-    this: ``with BackgroundServer(seed=7) as server:`` yields a bound
-    server (ephemeral port by default) whose :attr:`url` a
+    ``with BackgroundServer(seed=7) as server:`` yields a bound server
+    (ephemeral port by default) whose :attr:`url` a
     :class:`~repro.service.client.ServiceClient` can hit from any
     thread; exiting stops the loop and spills warm sessions.
-    ``server_options`` forwards hardening knobs (``max_queue``,
-    ``max_pending``, ``default_budget``, ``answer_cache_size``,
-    ``fault_injection``, ``workers`` — sharded mode works embedded too)
-    to the :class:`EstimationServer`.
+    ``server_options`` forwards the constructor knobs (``max_queue``,
+    ``max_pending``, ``max_inflight``, ``default_budget``,
+    ``answer_cache_size``, ``workers``) to the :attr:`server_type`.
     """
+
+    #: The class the wrapped server is built from.
+    server_type: type[EstimationServer] = EstimationServer
 
     def __init__(
         self,
@@ -1276,7 +1048,7 @@ class BackgroundServer:
         self.registry = (
             registry if registry is not None else SessionRegistry(**registry_options)
         )
-        self.server = EstimationServer(
+        self.server = self.server_type(
             self.registry, host=host, port=port, **dict(server_options or {})
         )
         self._thread: threading.Thread | None = None

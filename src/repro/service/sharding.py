@@ -1,30 +1,30 @@
-"""Sharded service plane: one warm registry per core behind a router.
+"""The service plane's execution pools: every served group runs on a shard.
 
-The single-process server tops out at roughly one core: micro-batching
-amortizes Python overhead but every batch still executes under the GIL.
-PR 5's content-derived group seeds (:func:`~repro.engine.batch.group_seed_for`
+A :class:`Shard` is one :class:`~repro.service.registry.SessionRegistry`
+plus its :class:`~repro.service.batching.MicroBatcher`.  The server talks
+only to a *pool* of shards with one interface — ``workers``, ``start()``,
+``submit(key, database, constraints, generator, requests, mode)``,
+``stats()`` (one document per shard, folded by
+:func:`aggregate_shard_stats`), ``retry_after_hint(depth)`` and
+``stop(timeout, error)`` — so serving modes differ only in where the
+shards live:
+
+* :class:`LocalPool` — in-process serving: one shard, called directly
+  (no pickling, no pipe, no thread hop).
+* :class:`WorkerPool` — ``serve --workers N``: one warm worker process
+  per shard (built from a picklable :class:`WorkerConfig`), each a frame
+  loop around its own :class:`Shard`; dead workers are respawned,
+  re-warmed from the shared cache store, and their in-flight frames
+  transparently retried.  Groups are placed by :func:`shard_for_key`,
+  a rendezvous (highest-random-weight) hash of the registry key:
+  growing ``n → n + 1`` workers remaps only the keys that land on the
+  *new* shard, and removing a shard remaps only that shard's keys, so
+  warm sessions survive resizes.
+
+Content-derived group seeds (:func:`~repro.engine.batch.group_seed_for`
 over :func:`~repro.engine.store.instance_cache_key`) make *placement
-irrelevant to results* — any process that evaluates a group produces the
-same seeded sample stream — so scale-out reduces to routing.
-
-This module supplies the pieces:
-
-* :func:`shard_for_key` — rendezvous (highest-random-weight) hashing of
-  a registry key to a shard.  Rendezvous hashing gives the stability
-  property the tests pin down: growing ``n → n + 1`` workers remaps only
-  the keys that land on the *new* shard, and removing a shard remaps
-  only that shard's keys — every other placement is untouched, so warm
-  sessions survive resizes.
-* :class:`WorkerConfig` — the picklable recipe for one worker's
-  :class:`~repro.service.registry.SessionRegistry` +
-  :class:`~repro.service.batching.MicroBatcher`.
-* :class:`WorkerPool` — the router half: spawns one warm worker process
-  per shard, speaks a length-prefixed frame protocol over duplex pipes,
-  respawns dead workers (re-warming their keys from the shared cache
-  store and transparently retrying in-flight frames), and aggregates
-  per-shard stats.
-* :func:`aggregate_shard_stats` — the pure sum/max fold the server uses
-  for ``GET /stats`` totals (unit-tested: sum over shards == totals).
+irrelevant to results* — any shard, in any process, that evaluates a
+group produces the same seeded sample stream.
 
 **Protocol.**  Frames are pickled ``(request_id, kind, payload)`` tuples
 over ``multiprocessing.Pipe`` connections — ``send_bytes`` writes a
@@ -35,16 +35,8 @@ without scoring), ``stats``, ``shutdown``.  Worker→router statuses:
 :class:`~repro.service.batching.QueueFull` router-side so 429/Retry-After
 semantics are shard-transparent), ``error``, ``stats``, ``ok``.
 
-**Start method.**  Workers always spawn (the server process runs
-threads; forking a threaded process can deadlock — the same policy as
-``engine/batch.py``) unless ``REPRO_UOCQA_START_METHOD`` explicitly
-overrides.
-
-**Crash transparency.**  Estimates are deterministic and idempotent
-(every request reads its group pool from position zero), so the router
-may retry a dead worker's in-flight frames on the respawned process
-without changing any result — a mid-storm ``SIGKILL`` is invisible in
-served rows, which is what the kill/respawn bit-identity tests assert.
+Workers always spawn (see :meth:`WorkerPool.start`) unless
+``REPRO_UOCQA_START_METHOD`` explicitly overrides.
 """
 
 from __future__ import annotations
@@ -58,21 +50,26 @@ import pickle
 import signal
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .batching import MicroBatcher, QueueFull
+from .batching import MicroBatcher, QueueFull, retry_after_hint
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
 
 __all__ = [
+    "LocalPool",
+    "Shard",
     "WorkerConfig",
     "WorkerPool",
     "aggregate_shard_stats",
     "shard_for_key",
 ]
 
+#: Monotone registry counters: summed across shards, and carried over a
+#: worker respawn so plane-wide totals never decrease.
+_REGISTRY_COUNTER_KEYS = ("hits", "misses", "evictions", "store_errors")
 #: Registry stat keys summed across shards by :func:`aggregate_shard_stats`.
-_REGISTRY_SUM_KEYS = ("sessions", "hits", "misses", "evictions", "store_errors")
+_REGISTRY_SUM_KEYS = ("sessions", *_REGISTRY_COUNTER_KEYS)
 #: Batcher stat keys summed across shards.
 _BATCHING_SUM_KEYS = (
     "batches_run",
@@ -81,8 +78,9 @@ _BATCHING_SUM_KEYS = (
     "rejected",
     "cancelled_waiters",
 )
-#: Batcher stat keys folded with ``max`` (a width is not additive).
-_BATCHING_MAX_KEYS = ("widest_batch",)
+#: Batcher stat keys folded with ``max`` (a width or a smoothed batch
+#: duration is not additive).
+_BATCHING_MAX_KEYS = ("widest_batch", "batch_seconds_ewma")
 
 #: In-flight frames are retried at most this many times across respawns
 #: before failing the caller (a worker that dies twice on the same frame
@@ -115,21 +113,26 @@ def shard_for_key(key: str, shards: int) -> int:
 
 
 def aggregate_shard_stats(per_shard: Iterable[Mapping | None]) -> dict:
-    """Fold per-shard stat documents into registry/batching totals.
+    """Fold per-shard stat documents into plane-wide totals.
 
-    Counters are summed, ``widest_batch`` is folded with ``max``, and
-    shards that failed to report (``None`` entries, or entries without a
-    ``registry`` section — e.g. mid-respawn) are skipped but counted in
-    ``"unreported"``.  Pure and synchronous so the aggregation contract
-    (sum over shards == totals) is unit-testable without processes.
+    ``registry``/``batching`` counters are summed (plus each entry's
+    ``carried`` counts, see :meth:`WorkerPool.stats`, so a restarting
+    pool's totals never decrease), ``widest_batch`` and
+    ``batch_seconds_ewma`` take the ``max``, ``degraded`` is or-ed and
+    ``groups`` concatenated.  Shards that failed to report (``None``
+    entries, or no ``registry`` section — e.g. mid-respawn) count in
+    ``unreported``.  Pure, so the contract (sum over shards == totals)
+    is unit-testable without processes.
     """
-    registry_totals = {key: 0 for key in _REGISTRY_SUM_KEYS}
-    batching_totals = {key: 0 for key in _BATCHING_SUM_KEYS}
-    for key in _BATCHING_MAX_KEYS:
-        batching_totals[key] = 0
+    registry_totals = dict.fromkeys(_REGISTRY_SUM_KEYS, 0)
+    batching_totals = dict.fromkeys(_BATCHING_SUM_KEYS + _BATCHING_MAX_KEYS, 0)
+    degraded = False
+    groups: list = []
     reported = 0
     unreported = 0
     for entry in per_shard:
+        for key, value in ((entry or {}).get("carried") or {}).items():
+            registry_totals[key] += value
         if not entry or not entry.get("registry"):
             unreported += 1
             continue
@@ -138,6 +141,8 @@ def aggregate_shard_stats(per_shard: Iterable[Mapping | None]) -> dict:
         batching = entry.get("batching") or {}
         for key in _REGISTRY_SUM_KEYS:
             registry_totals[key] += registry.get(key, 0)
+        degraded = degraded or bool(registry.get("degraded"))
+        groups.extend(registry.get("groups") or [])
         for key in _BATCHING_SUM_KEYS:
             batching_totals[key] += batching.get(key, 0)
         for key in _BATCHING_MAX_KEYS:
@@ -147,12 +152,14 @@ def aggregate_shard_stats(per_shard: Iterable[Mapping | None]) -> dict:
         "unreported": unreported,
         "registry": registry_totals,
         "batching": batching_totals,
+        "degraded": degraded,
+        "groups": groups,
     }
 
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker needs to build its registry + batcher.
+    """Everything a worker needs to build its :class:`Shard`.
 
     Plain picklable fields only — the config crosses the spawn boundary.
     ``shared_pools`` defaults on: worker vector pools live in
@@ -171,6 +178,92 @@ class WorkerConfig:
 
 class WorkerDied(RuntimeError):
     """An estimate could not be completed: its worker kept dying."""
+
+
+# --------------------------------------------------------------------------------------
+# The shard and the in-process pool
+# --------------------------------------------------------------------------------------
+
+
+class Shard:
+    """One :class:`SessionRegistry` and the :class:`MicroBatcher` over it
+    (``max_queue``, ``max_pending`` and ``on_batch`` configure the
+    batcher): the unit every served group runs on."""
+
+    def __init__(
+        self,
+        registry: SessionRegistry,
+        *,
+        max_queue: int | None = None,
+        max_pending: int | None = None,
+        on_batch: Callable[[str, float, int], None] | None = None,
+    ):
+        self.registry = registry
+        self.batcher = MicroBatcher(
+            registry, max_queue=max_queue, max_pending=max_pending, on_batch=on_batch
+        )
+
+    async def estimate(self, database, constraints, generator, requests, mode):
+        """Score one group's requests through the micro-batcher
+        (:class:`~repro.service.batching.QueueFull` past its bounds)."""
+        return await self.batcher.submit(
+            database, constraints, generator, requests, mode
+        )
+
+    async def warm(self, database, constraints, generator) -> None:
+        """Admit a group without scoring (warm-starting it from the store)."""
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.registry.handle, database, constraints, generator
+        )
+
+    def stats(self) -> dict:
+        """``{"registry": ..., "batching": ...}`` — JSON-native counters."""
+        return {"registry": self.registry.stats(), "batching": self.batcher.stats()}
+
+    async def close(
+        self, timeout: float | None = None, error: BaseException | None = None
+    ) -> None:
+        """Drain queued batch rounds — failing what outlives ``timeout``
+        with ``error``, never dropping it — then spill every warm session
+        (off the event loop: spilling walks session locks)."""
+        try:
+            await asyncio.wait_for(self.batcher.drain(), timeout)
+        except asyncio.TimeoutError:
+            pass
+        if error is not None:
+            self.batcher.fail_pending(error)
+        await asyncio.get_running_loop().run_in_executor(None, self.registry.close)
+
+
+class LocalPool:
+    """In-process serving: a one-shard pool calling its shard directly."""
+
+    workers = 1
+
+    def __init__(self, shard: Shard):
+        self.shard = shard
+
+    async def start(self) -> None:
+        """Nothing to spawn: the shard lives in this process."""
+
+    async def submit(self, key, database, constraints, generator, requests, mode):
+        """Run one group on the shard (``key`` only matters for routing)."""
+        return await self.shard.estimate(
+            database, constraints, generator, requests, mode
+        )
+
+    async def stats(self) -> list[dict]:
+        """The shard's stat document, in :meth:`WorkerPool.stats` shape."""
+        document = {"shard": 0, "pid": os.getpid(), **self.shard.stats()}
+        return [{**document, "alive": True, "restarts": 0}]
+
+    def retry_after_hint(self, depth: int) -> int:
+        """The shard batcher's ``Retry-After`` estimate for ``depth``."""
+        return self.shard.batcher.retry_after_hint(depth)
+
+    async def stop(self, timeout: float = 10.0, error: BaseException | None = None):
+        """Drain and close the shard (see :meth:`Shard.close`)."""
+        await self.shard.close(timeout, error)
 
 
 # --------------------------------------------------------------------------------------
@@ -193,7 +286,8 @@ def _worker_main(shard: int, conn, config: WorkerConfig) -> None:
         pass
 
 
-async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
+async def _worker_loop(index: int, conn, config: WorkerConfig) -> None:
+    """The frame loop around one :class:`Shard`."""
     loop = asyncio.get_running_loop()
     registry = SessionRegistry(
         seed=config.seed,
@@ -201,9 +295,7 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         max_sessions=config.max_sessions,
         shared_pools=config.shared_pools,
     )
-    batcher = MicroBatcher(
-        registry, max_queue=config.max_queue, max_pending=config.max_pending
-    )
+    shard = Shard(registry, max_queue=config.max_queue, max_pending=config.max_pending)
     frames: asyncio.Queue = asyncio.Queue()
     send_lock = threading.Lock()
 
@@ -224,7 +316,7 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
             loop.call_soon_threadsafe(frames.put_nowait, blob)
 
     threading.Thread(
-        target=read_frames, name=f"repro-shard-{shard}-reader", daemon=True
+        target=read_frames, name=f"repro-shard-{index}-reader", daemon=True
     ).start()
     try:
         loop.add_signal_handler(
@@ -239,28 +331,13 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         request_id, kind, payload = pickle.loads(blob)
         try:
             if kind == "estimate":
-                database, constraints, generator, requests, mode = payload
-                rows = await batcher.submit(
-                    database, constraints, generator, requests, mode
-                )
-                reply = (request_id, "result", rows)
+                reply = (request_id, "result", await shard.estimate(*payload))
             elif kind == "warm":
-                database, constraints, generator = payload
-                await loop.run_in_executor(
-                    None, registry.handle, database, constraints, generator
-                )
+                await shard.warm(*payload)
                 reply = (request_id, "ok", None)
             elif kind == "stats":
-                reply = (
-                    request_id,
-                    "stats",
-                    {
-                        "shard": shard,
-                        "pid": os.getpid(),
-                        "registry": registry.stats(),
-                        "batching": batcher.stats(),
-                    },
-                )
+                document = {"shard": index, "pid": os.getpid(), **shard.stats()}
+                reply = (request_id, "stats", document)
             elif kind == "shutdown":
                 frames.put_nowait(_SHUTDOWN_SENTINEL)
                 reply = (request_id, "ok", None)
@@ -291,8 +368,7 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
     # then spill warm sessions (and unlink shared segments) on the way out.
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
-    await batcher.drain()
-    await loop.run_in_executor(None, registry.close)
+    await shard.close()
     try:
         conn.close()
     except OSError:  # pragma: no cover
@@ -308,32 +384,26 @@ _SHUTDOWN_SENTINEL = object()
 # --------------------------------------------------------------------------------------
 
 
-class _Shard:
+def _zero_counters() -> dict[str, int]:
+    return dict.fromkeys(_REGISTRY_COUNTER_KEYS, 0)
+
+
+@dataclass(eq=False)
+class _Worker:
     """Router-side state for one worker process (one generation)."""
 
-    __slots__ = (
-        "shard",
-        "process",
-        "conn",
-        "reader",
-        "inflight",
-        "send_lock",
-        "dead",
-    )
-
-    def __init__(self, shard: int, process, conn):
-        self.shard = shard
-        self.process = process
-        self.conn = conn
-        self.reader: threading.Thread | None = None
-        # request_id -> (future, kind, payload, retries); loop-confined.
-        self.inflight: dict[int, tuple] = {}
-        self.send_lock = threading.Lock()
-        self.dead = False
+    shard: int
+    process: multiprocessing.Process
+    conn: Any
+    reader: threading.Thread | None = None
+    # request_id -> (future, kind, payload, retries); loop-confined.
+    inflight: dict[int, tuple] = field(default_factory=dict)
+    send_lock: threading.Lock = field(default_factory=threading.Lock)
+    dead: bool = False
 
 
 class WorkerPool:
-    """The router's pool of warm worker processes, one per shard.
+    """The router's pool of warm worker processes, one :class:`Shard` each.
 
     All mutable state is confined to the asyncio event loop; reader
     threads (one per worker, blocking on the pipe) hand frames back via
@@ -342,10 +412,12 @@ class WorkerPool:
 
     Fault handling: a worker whose pipe hits EOF is respawned with the
     same shard id.  Its in-flight frames are retried on the replacement
-    (estimates are idempotent — see the module docstring) up to
-    ``_MAX_RETRIES`` times, and the keys recently routed to that shard
-    are re-warmed from the cache store via fire-and-forget ``warm``
-    frames, so a killed worker comes back hot instead of cold.
+    up to ``_MAX_RETRIES`` times — estimates are deterministic and
+    idempotent (every request reads its group pool from position zero),
+    so a mid-storm ``SIGKILL`` is invisible in served rows — and the
+    keys recently routed to that shard are re-warmed from the cache
+    store via fire-and-forget ``warm`` frames, so a killed worker comes
+    back hot instead of cold.
     """
 
     def __init__(
@@ -363,12 +435,16 @@ class WorkerPool:
         self._on_restart = on_restart
         self._loop: asyncio.AbstractEventLoop | None = None
         self._context = None
-        self._shards: list[_Shard] = []
+        self._workers: list[_Worker] = []
         self._ids = itertools.count(1)
         self._stopping = False
         #: Monotone per-shard respawn counters (rendered as a counter
         #: metric — the router owns them, so restarts never reset them).
         self.restarts = [0] * workers
+        # Per shard: the live worker's last reported registry counters,
+        # and the sum of its dead predecessors' (see stats()).
+        self._reported = [_zero_counters() for _ in range(workers)]
+        self._carried = [_zero_counters() for _ in range(workers)]
         # key -> (database, constraints, generator): the bounded LRU of
         # recently routed groups used to re-warm a respawned shard.
         self._warm: OrderedDict[str, tuple] = OrderedDict()
@@ -394,7 +470,7 @@ class WorkerPool:
             # Spawned children fork+exec with explicit fd passing, which
             # cannot cross-inherit.
             self._context = multiprocessing.get_context("spawn")
-        self._shards = list(
+        self._workers = list(
             await asyncio.gather(
                 *(
                     self._loop.run_in_executor(None, self._spawn, shard)
@@ -403,7 +479,7 @@ class WorkerPool:
             )
         )
 
-    def _spawn(self, shard: int) -> _Shard:
+    def _spawn(self, shard: int) -> _Worker:
         """Blocking: fork/spawn one worker and wire its reader thread."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
@@ -414,7 +490,7 @@ class WorkerPool:
         )
         process.start()
         child_conn.close()
-        worker = _Shard(shard, process, parent_conn)
+        worker = _Worker(shard, process, parent_conn)
         worker.reader = threading.Thread(
             target=self._read_loop,
             args=(worker,),
@@ -424,13 +500,19 @@ class WorkerPool:
         worker.reader.start()
         return worker
 
-    async def stop(self, timeout: float = 10.0) -> None:
-        """Drain and terminate every worker (graceful, then forceful)."""
+    async def stop(
+        self, timeout: float = 10.0, error: BaseException | None = None
+    ) -> None:
+        """Drain and terminate every worker (graceful, then forceful).
+
+        Frames still unanswered once the workers are gone fail with
+        ``error`` (default :class:`WorkerDied`).
+        """
         if self._loop is None:
             return
         self._stopping = True
         goodbyes = []
-        for worker in self._shards:
+        for worker in self._workers:
             future = self._loop.create_future()
             self._dispatch(worker.shard, future, "shutdown", None)
             goodbyes.append(future)
@@ -440,16 +522,16 @@ class WorkerPool:
                 future.cancel()
             for future in done:
                 future.exception()  # consume, ignore
-        for worker in self._shards:
+        for worker in self._workers:
             await self._loop.run_in_executor(None, self._reap, worker, timeout)
-        for worker in self._shards:
+        for worker in self._workers:
             for future, *_ in list(worker.inflight.values()):
                 if not future.done():
-                    future.set_exception(WorkerDied("worker pool stopped"))
+                    future.set_exception(error or WorkerDied("worker pool stopped"))
             worker.inflight.clear()
 
     @staticmethod
-    def _reap(worker: _Shard, timeout: float) -> None:
+    def _reap(worker: _Worker, timeout: float) -> None:
         worker.process.join(timeout)
         if worker.process.is_alive():  # pragma: no cover - drain overrun
             worker.process.terminate()
@@ -462,11 +544,6 @@ class WorkerPool:
         except OSError:
             pass
 
-    def alive(self, shard: int) -> bool:
-        """Whether ``shard``'s current process is running."""
-        worker = self._shards[shard]
-        return not worker.dead and worker.process.is_alive()
-
     def kill(self, shard: int) -> int:
         """SIGKILL ``shard``'s worker (fault injection); returns its pid.
 
@@ -476,7 +553,7 @@ class WorkerPool:
         """
         if not 0 <= shard < self.workers:
             raise ValueError(f"shard must be in [0, {self.workers})")
-        process = self._shards[shard].process
+        process = self._workers[shard].process
         pid = process.pid
         if pid is not None:
             try:
@@ -509,19 +586,43 @@ class WorkerPool:
         )
         return payload
 
-    async def stats(self, timeout: float = 5.0) -> list[dict | None]:
-        """Per-shard stat documents (``None`` for unresponsive shards)."""
+    def retry_after_hint(self, depth: int) -> int:
+        """A ``Retry-After`` estimate for ``depth`` requests ahead (batch
+        timings live in the workers: the no-history default)."""
+        return retry_after_hint(depth)
 
-        async def one(shard: int) -> dict | None:
+    async def stats(self, timeout: float = 5.0) -> list[dict]:
+        """One stat document per shard: ``shard``, ``pid``, ``alive``,
+        ``restarts``, the shard's ``registry``/``batching`` sections
+        (``None`` when it missed ``timeout`` or its worker has since died)
+        and ``carried`` — the registry counters its dead worker generations
+        reported (plus, while unreported, the live one's last report),
+        which :func:`aggregate_shard_stats` adds to the totals.
+        """
+
+        async def one(shard: int) -> dict:
             try:
                 status, payload = await asyncio.wait_for(
                     self._request(shard, "stats", None), timeout
                 )
                 document = dict(payload)
             except (asyncio.TimeoutError, WorkerDied, QueueFull):
+                document = {}
+            worker = self._workers[shard]
+            alive = not worker.dead and worker.process.is_alive()
+            carried = dict(self._carried[shard])
+            if document.get("pid") == worker.process.pid and not worker.dead:
+                registry = document["registry"]
+                self._reported[shard] = {
+                    key: registry.get(key, 0) for key in _REGISTRY_COUNTER_KEYS
+                }
+            else:
                 document = {"shard": shard, "registry": None, "batching": None}
-            document["alive"] = self.alive(shard)
-            document["restarts"] = self.restarts[shard]
+                for key, value in self._reported[shard].items():
+                    carried[key] += value
+            document.update(
+                alive=alive, restarts=self.restarts[shard], carried=carried
+            )
             return document
 
         return list(await asyncio.gather(*(one(s) for s in range(self.workers))))
@@ -542,13 +643,13 @@ class WorkerPool:
         worker's ``inflight`` map; the revival migrates them to the
         replacement, so callers never observe the gap.
         """
-        worker = self._shards[shard]
+        worker = self._workers[shard]
         request_id = next(self._ids)
         worker.inflight[request_id] = (future, kind, payload, retries)
         if not worker.dead:
             self._post(worker, request_id, kind, payload)
 
-    def _post(self, worker: _Shard, request_id: int, kind: str, payload) -> None:
+    def _post(self, worker: _Worker, request_id: int, kind: str, payload) -> None:
         blob = pickle.dumps(
             (request_id, kind, payload), protocol=pickle.HIGHEST_PROTOCOL
         )
@@ -564,7 +665,7 @@ class WorkerPool:
 
         self._loop.run_in_executor(None, write)
 
-    def _read_loop(self, worker: _Shard) -> None:
+    def _read_loop(self, worker: _Worker) -> None:
         while True:
             try:
                 blob = worker.conn.recv_bytes()
@@ -573,7 +674,7 @@ class WorkerPool:
                 return
             self._loop.call_soon_threadsafe(self._deliver, worker, blob)
 
-    def _deliver(self, worker: _Shard, blob: bytes) -> None:
+    def _deliver(self, worker: _Worker, blob: bytes) -> None:
         request_id, status, payload = pickle.loads(blob)
         entry = worker.inflight.pop(request_id, None)
         if entry is None:
@@ -593,20 +694,26 @@ class WorkerPool:
 
     # -- death and rebirth -------------------------------------------------------------
 
-    def _worker_died(self, worker: _Shard) -> None:
+    def _worker_died(self, worker: _Worker) -> None:
         if worker.dead or self._stopping:
             return
-        if self._shards[worker.shard] is not worker:
+        if self._workers[worker.shard] is not worker:
             return  # a stale generation's reader winding down
         worker.dead = True
         self.restarts[worker.shard] += 1
+        # The dead generation's last reported counters become carried;
+        # the replacement reports from zero.
+        carried = self._carried[worker.shard]
+        for key, value in self._reported[worker.shard].items():
+            carried[key] += value
+        self._reported[worker.shard] = _zero_counters()
         if self._on_restart is not None:
             self._on_restart(worker.shard)
         task = asyncio.ensure_future(self._revive(worker))
         self._revivals.add(task)
         task.add_done_callback(self._revivals.discard)
 
-    async def _revive(self, worker: _Shard) -> None:
+    async def _revive(self, worker: _Worker) -> None:
         shard = worker.shard
         await self._loop.run_in_executor(None, worker.process.join, 1.0)
         try:
@@ -619,7 +726,7 @@ class WorkerPool:
         # From here to the end of the method is one synchronous block on
         # the loop: dispatches cannot interleave, so no frame can slip
         # into the dead worker's map after migration.
-        self._shards[shard] = replacement
+        self._workers[shard] = replacement
         # Re-warm the shard's recently routed groups from the store
         # (fire-and-forget: a warm failure just means a cold first hit).
         for key, group in list(self._warm.items()):

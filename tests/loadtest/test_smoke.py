@@ -1,7 +1,7 @@
 """Tier-1 smoke coverage for the load-test harness.
 
 A scaled-down end-to-end run against an in-process
-:class:`BackgroundServer` (fast, deterministic) plus the
+:class:`FaultBackgroundServer` (fast, deterministic) plus the
 :class:`ServerProcess` lifecycle — start, URL parse, kill, same-port
 restart with bit-identical answers.  The full-fault saturation leg
 lives in ``test_saturation.py`` behind the ``tier2`` marker.
@@ -9,7 +9,8 @@ lives in ``test_saturation.py`` behind the ``tier2`` marker.
 
 import pytest
 
-from repro.service import BackgroundServer, ServiceClient, run_loadtest
+from repro.service import ServiceClient, run_loadtest
+from repro.service.faults import FaultBackgroundServer
 from repro.service.loadtest import (
     LoadTestConfig,
     ServerProcess,
@@ -38,7 +39,7 @@ SMOKE_CONFIG = LoadTestConfig(
 
 class TestSmokeRun:
     def test_harness_passes_against_background_server(self):
-        with BackgroundServer(
+        with FaultBackgroundServer(
             seed=SMOKE_CONFIG.seed,
             server_options={
                 "max_queue": SMOKE_CONFIG.max_queue,
@@ -46,7 +47,6 @@ class TestSmokeRun:
                 "max_inflight": SMOKE_CONFIG.max_inflight,
                 "default_budget": SMOKE_CONFIG.default_budget,
                 "answer_cache_size": SMOKE_CONFIG.answer_cache_size,
-                "fault_injection": True,
             },
         ) as server:
             report = run_loadtest(SMOKE_CONFIG, base_url=server.url)

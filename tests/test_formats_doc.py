@@ -95,3 +95,40 @@ def test_documented_service_exchange_is_live(json_blocks):
         with urllib.request.urlopen(request) as response:
             served = json.loads(response.read())
     assert served == response_document
+
+
+def _documented_metric_names() -> set[str]:
+    """Every ``repro_*`` series family the ``GET /metrics`` section names.
+
+    ``{a,b}`` inside a name expands (``repro_registry_{hits,misses}_total``);
+    a trailing ``{...}`` is a label list, not part of the name.
+    """
+    text = DOC.read_text()
+    start = text.index("### `GET /metrics`")
+    section = text[start : text.index("\n### ", start + 1)]
+    names: set[str] = set()
+    for token in re.findall(r"repro_[a-z0-9_]*(?:\{[a-z,]+\}[a-z0-9_]+)*", section):
+        expanded = [""]
+        for literal, group in re.findall(r"([a-z0-9_]*)(?:\{([a-z,]+)\})?", token):
+            expanded = [
+                prefix + literal + choice
+                for prefix in expanded
+                for choice in (group.split(",") if group else [""])
+            ]
+        names.update(expanded)
+    return names
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=lambda w: f"workers={w}")
+def test_documented_metric_list_is_exactly_the_rendered_set(workers):
+    """The /metrics section lists every rendered series family and no
+    other, in-process and sharded alike."""
+    from repro.service import BackgroundServer, ServiceClient
+
+    options = {} if workers is None else {"workers": workers}
+    with BackgroundServer(seed=7, server_options=options) as server:
+        text = ServiceClient(server.url).metrics_text()
+    rendered = set(re.findall(r"^# TYPE (\S+) ", text, re.MULTILINE))
+    documented = _documented_metric_names()
+    assert rendered - documented == set(), "rendered but undocumented"
+    assert documented - rendered == set(), "documented but never rendered"

@@ -386,6 +386,8 @@ class TestHttpErrors:
         assert caught.value.code == 404
         payload = json.loads(caught.value.read())
         assert "/estimate" in payload["paths"]
+        # The fault surface lives only on the load-test harness server.
+        assert "/_fault" not in payload["paths"]
 
     def test_wrong_method_is_405(self, server):
         with pytest.raises(urllib.error.HTTPError) as caught:
@@ -406,6 +408,17 @@ class TestHttpErrors:
         with pytest.raises(ServiceClientError) as caught:
             client.estimate_workload({"instance": "nope", "query": "Ans() :- R(a)"})
         assert caught.value.status == 400
+
+    def test_fault_injection_is_not_a_server_option(self):
+        import inspect
+
+        from repro.service import EstimationServer, serve
+
+        with pytest.raises(TypeError):
+            EstimationServer(fault_injection=True)
+        for function in (EstimationServer, EstimationServer.build, serve):
+            parameters = inspect.signature(function).parameters
+            assert "fault_injection" not in parameters, function
 
     def test_answers_rejects_fixed_answer(self, server):
         database, constraints = figure2_database()
@@ -467,6 +480,10 @@ class TestCliServeParser:
         # The generator picks the sample plane: there is no flag for it.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "scalar"])
+        # Faults are injected through the harness server only.
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["serve", "--enable-fault-injection"])
+        assert caught.value.code == 2
 
     def test_loadtest_arguments_parse(self):
         from repro.cli import build_parser

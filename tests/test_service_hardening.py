@@ -25,6 +25,7 @@ from repro.service import (
     ServiceClientError,
     SessionRegistry,
 )
+from repro.service.faults import FaultBackgroundServer
 from repro.workloads import figure2_database
 
 SEED = 7
@@ -569,9 +570,7 @@ class TestDegradedStorage:
         requests = self._requests(fig2)
         registry = SessionRegistry(seed=SEED, cache_dir=str(tmp_path))
         try:
-            with BackgroundServer(
-                registry, server_options={"fault_injection": True}
-            ) as server:
+            with FaultBackgroundServer(registry) as server:
                 client = ServiceClient(server.url)
                 baseline = [row.result for row in registry.estimate(requests)]
                 report = client._call("POST", "/_fault", {"spill_sessions": True})
@@ -612,9 +611,7 @@ class TestDegradedStorage:
 
     def test_disk_fault_validation(self, tmp_path):
         registry = SessionRegistry(seed=SEED, cache_dir=str(tmp_path))
-        with BackgroundServer(
-            registry, server_options={"fault_injection": True}
-        ) as server:
+        with FaultBackgroundServer(registry) as server:
             client = ServiceClient(server.url)
             with pytest.raises(ServiceClientError) as caught:
                 client._call("POST", "/_fault", {"disk_enospc": "yes"})

@@ -37,9 +37,12 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
     SessionRegistry,
+    WorkerConfig,
+    WorkerPool,
     aggregate_shard_stats,
     shard_for_key,
 )
+from repro.service.faults import FaultBackgroundServer
 from repro.service.loadtest import ServerProcess
 from repro.workloads import figure2_database
 
@@ -138,6 +141,30 @@ class TestAggregateShardStats:
         assert merged["shards"] == 1
         assert merged["unreported"] == 2
         assert merged["registry"]["sessions"] == 1
+
+
+    def test_carried_counts_join_the_totals_reported_or_not(self):
+        """A respawned worker counts from zero; the counts its dead
+        predecessors reported travel in ``carried`` and stay in the
+        totals, even while the shard is unreported."""
+        carried = {"hits": 4, "misses": 2, "evictions": 1, "store_errors": 0}
+        live = shard_stats(0, sessions=1, hits=1, misses=1, evictions=0, batches=1, widest=1)
+        live["carried"] = carried
+        merged = aggregate_shard_stats([live, {"shard": 1, "registry": None, "carried": carried}])
+        assert merged["unreported"] == 1
+        assert merged["registry"] == {
+            "sessions": 1, "hits": 9, "misses": 5, "evictions": 2, "store_errors": 0,
+        }
+
+    def test_degraded_is_or_ed_and_groups_concatenated(self):
+        first = shard_stats(0, sessions=1, hits=0, misses=1, evictions=0, batches=1, widest=1)
+        second = shard_stats(1, sessions=2, hits=0, misses=2, evictions=0, batches=1, widest=1)
+        first["registry"].update(degraded=False, groups=[{"key": "a"}])
+        second["registry"].update(degraded=True, groups=[{"key": "b"}, {"key": "c"}])
+        merged = aggregate_shard_stats([first, second])
+        assert merged["degraded"] is True
+        assert [group["key"] for group in merged["groups"]] == ["a", "b", "c"]
+        assert aggregate_shard_stats([first])["degraded"] is False
 
 
 # -- shared-memory sample pools ------------------------------------------------------------
@@ -259,7 +286,7 @@ class TestShutdownDrain:
         expected = offline[0].result
         outcome = {}
 
-        background = BackgroundServer(seed=7, server_options={"fault_injection": True})
+        background = FaultBackgroundServer(seed=7)
         with background as server:
             client = ServiceClient(server.url, timeout=30.0, max_retries=0)
             client._call("POST", "/_fault", {"slow_seconds": 0.5})
@@ -330,14 +357,15 @@ class TestShardedHttp:
             ]
 
         for workers in (1, 2, 4):
-            options = {"workers": workers, "fault_injection": True}
-            with BackgroundServer(seed=7, server_options=options) as server:
+            options = {"workers": workers}
+            with FaultBackgroundServer(seed=7, server_options=options) as server:
                 client = ServiceClient(server.url)
                 assert served(client) == expected, f"workers={workers} drifted"
 
                 if workers == 2:
                     # SIGKILL shard 0 mid-run: the router respawns and
                     # re-warms it; re-served rows must not move a bit.
+                    before = client.metrics()
                     report = client._call("POST", "/_fault", {"kill_worker": 0})
                     assert report["killed_worker"] == 0
                     assert report["killed_pid"]
@@ -352,6 +380,13 @@ class TestShardedHttp:
                         entry.get("restarts", 0) for entry in client.stats()["shards"]
                     )
                     assert restarts >= 1
+                    after = client.metrics()
+                    for name in (
+                        "repro_registry_hits_total",
+                        "repro_registry_misses_total",
+                        "repro_registry_evictions_total",
+                    ):
+                        assert after[name] >= before[name], name
 
                 if workers == 4:
                     self.check_aggregation(client)
@@ -392,3 +427,87 @@ class TestShardedHttp:
             health = ServiceClient(server.url).healthz()
             assert health["workers"]["count"] == 2
             assert health["workers"]["alive"] == [True, True]
+
+
+class TestOneExecutionPath:
+    """In-process serving is a one-shard pool: every mode reports through
+    the same per-shard documents, so the endpoints cannot disagree."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2], ids=lambda w: f"workers={w}")
+    def test_endpoints_agree_on_sessions_and_registry_counters(self, workers):
+        database, constraints = figure2_database()
+        options = {} if workers is None else {"workers": workers}
+        with BackgroundServer(seed=7, server_options=options) as server:
+            client = ServiceClient(server.url)
+            serve_rows(client, database, constraints, fig2_requests())
+            health = client.healthz()
+            stats = client.stats()
+            series = client.metrics()
+        # Two generators over one instance: two warm groups.
+        assert health["sessions"] == 2
+        assert stats["registry"]["sessions"] == 2
+        assert len(stats["registry"]["groups"]) == 2
+        assert series["repro_sessions"] == 2
+        shard_misses = sum(entry["registry"]["misses"] for entry in stats["shards"])
+        assert series["repro_registry_misses_total"] == shard_misses == 2
+        assert stats["registry"]["misses"] == shard_misses
+        assert stats["workers"]["count"] == len(stats["shards"]) == (workers or 1)
+        assert health["workers"] == stats["workers"]
+
+    def test_sharded_harness_rejects_in_process_faults(self):
+        """Spilling or dropping sessions (and the disk shim) act on the
+        server process's own registry; under --workers they would miss
+        the shards, so they are refused instead of reporting 0."""
+        database, constraints = figure2_database()
+        with FaultBackgroundServer(seed=7, server_options={"workers": 2}) as server:
+            client = ServiceClient(server.url)
+            serve_rows(client, database, constraints, fig2_requests())
+            for fault in (
+                {"spill_sessions": True, "drop_sessions": True},
+                {"spill_sessions": True},
+                {"drop_sessions": True},
+                {"disk_enospc": True},
+            ):
+                with pytest.raises(ServiceClientError) as caught:
+                    client._call("POST", "/_fault", fault)
+                assert caught.value.status == 400, fault
+            assert client.healthz()["sessions"] == 2
+            assert client.stats()["faults"]["disk_enospc"] == 0.0
+
+
+class TestWorkerPoolCounters:
+    def test_registry_counters_are_carried_across_a_respawn(self):
+        database, constraints = figure2_database()
+        requests = fig2_requests(generators=(M_UR,))
+        key = SessionRegistry(seed=7).key_for(database, constraints, M_UR)
+
+        async def scenario():
+            pool = WorkerPool(WorkerConfig(seed=7), 1)
+            await pool.start()
+            try:
+                await pool.submit(key, database, constraints, M_UR, requests, "fixed")
+                (before,) = await pool.stats()
+                assert before["registry"]["misses"] == 1
+                assert before["carried"]["misses"] == 0
+                pool.kill(0)
+                deadline = time.monotonic() + 60
+                while pool.restarts[0] == 0 and time.monotonic() < deadline:
+                    await asyncio.sleep(0.05)
+                rows = await pool.submit(
+                    key, database, constraints, M_UR, requests, "fixed"
+                )
+                (after,) = await pool.stats()
+            finally:
+                await pool.stop()
+            return before, after, rows
+
+        before, after, rows = asyncio.run(scenario())
+        assert [row.result for row in rows] == [
+            outcome.result for outcome in batch_estimate(requests, seed=7)
+        ]
+        assert after["restarts"] == 1
+        assert after["carried"]["misses"] == 1
+        assert after["carried"]["hits"] == before["registry"]["hits"]
+        totals = aggregate_shard_stats([after])["registry"]
+        assert totals["misses"] >= aggregate_shard_stats([before])["registry"]["misses"]
+        assert totals["hits"] >= aggregate_shard_stats([before])["registry"]["hits"]
