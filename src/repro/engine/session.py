@@ -179,12 +179,11 @@ class SamplePool:
         plane=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         preloaded_rows=None,
-        shared: bool = False,
     ):
         if (draw is None) == (plane is None):
             raise TypeError("exactly one of draw= and plane= is required")
-        if plane is None and (shared or preloaded_rows is not None):
-            raise TypeError("shared= and preloaded_rows= require a vector plane")
+        if plane is None and preloaded_rows is not None:
+            raise TypeError("preloaded_rows= requires a vector plane")
         if plane is not None and preloaded is not None:
             raise TypeError("vector pools preload packed rows (preloaded_rows=)")
         if batch_size < 1:
@@ -196,8 +195,6 @@ class SamplePool:
         self._samples: list[int | None] = list(preloaded or ())
         self._rows = None  # capacity-doubling packed matrix (vector pools)
         self._rows_length = 0  # valid rows in ``_rows``
-        self._shared = shared
-        self._segment = None  # SharedSampleSegment backing ``_rows`` when shared
         self._mask_prefix_cache: tuple[int, tuple[int, ...]] = (0, ())
         self._facts_prefix_cache: tuple[int, tuple[frozenset[Fact], ...]] = (0, ())
         if preloaded_rows is not None:
@@ -250,60 +247,17 @@ class SamplePool:
             self._samples.extend([None] * self._batch_size)
 
     def _append_rows(self, rows) -> None:
-        """Grow the packed matrix amortized-linearly (capacity doubling).
-
-        Shared pools grow by allocating a fresh
-        :class:`~repro.sampling.vectorized.SharedSampleSegment`, copying
-        the valid prefix, and releasing the outgrown segment (which
-        unlinks its OS object — only the current capacity ever lives in
-        ``/dev/shm``).
-        """
-        numpy = vectorized_plane.np
+        """Grow the packed matrix amortized-linearly (capacity doubling)."""
         count = rows.shape[0]
         needed = self._rows_length + count
         if self._rows is None or needed > self._rows.shape[0]:
             capacity = max(needed, 2 * (self._rows.shape[0] if self._rows is not None else 0))
-            if self._shared:
-                segment = vectorized_plane.SharedSampleSegment.create(
-                    capacity, self._plane.words
-                )
-                grown = segment.rows()
-            else:
-                segment = None
-                grown = numpy.empty((capacity, self._plane.words), dtype="<u8")
+            grown = vectorized_plane.np.empty((capacity, self._plane.words), dtype="<u8")
             if self._rows_length:
                 grown[: self._rows_length] = self._rows[: self._rows_length]
             self._rows = grown
-            if self._segment is not None:
-                self._segment.release()
-            self._segment = segment
         self._rows[self._rows_length : needed] = rows
         self._rows_length = needed
-
-    @property
-    def shared_segment(self):
-        """The live shared-memory segment backing this pool (or ``None``)."""
-        return self._segment
-
-    def release_shared(self) -> str | None:
-        """Detach from shared memory, keeping the pool fully usable.
-
-        The valid prefix is copied into a private heap matrix *before*
-        the segment is released, so holders that keep using the pool
-        after eviction (the registry's documented contract) see identical
-        samples — only the shared backing goes away.  Returns the name of
-        the released segment, or ``None`` if the pool was not shared.
-        """
-        if self._segment is None:
-            self._shared = False
-            return None
-        name = self._segment.name
-        if self._rows is not None:
-            self._rows = self._rows[: self._rows_length].copy()
-        segment, self._segment = self._segment, None
-        self._shared = False
-        segment.release()
-        return name
 
     def _mask(self, position: int) -> int:
         """The ``position``-th mask, decoding a packed row on first touch."""
@@ -584,35 +538,26 @@ class EstimationSession:
         self,
         seed: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        shared: bool = False,
     ) -> SamplePool:
-        """A vector-plane pool drawing in packed batches.
-
-        ``shared=True`` backs the packed matrix with a
-        :class:`~repro.sampling.vectorized.SharedSampleSegment` so other
-        processes (and the cache store) can read the rows zero-copy.
-        """
+        """A vector-plane pool drawing in packed batches."""
         return SamplePool(
             plane=self.vector_plane(seed),
             index=self.index(),
             batch_size=batch_size,
-            shared=shared,
         )
 
-    def pool_for_seed(self, seed: int | None, shared: bool = False) -> SamplePool:
+    def pool_for_seed(self, seed: int | None) -> SamplePool:
         """A pool for an integer seed, on the plane the generator picks.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
         the vector plane for the ``M_ur``/``M_us`` families, otherwise a
-        scalar pool seeded ``random.Random(seed)``.  ``shared=`` applies
-        to vector pools only — scalar pools have no packed matrix to
-        share and silently ignore it.
+        scalar pool seeded ``random.Random(seed)``.
         """
         if self._vector_generator():
-            return self.vector_pool(seed, shared=shared)
+            return self.vector_pool(seed)
         return self.pool(random.Random(seed) if seed is not None else None)
 
-    def cached_pool(self, seed: int | None, shared: bool = False) -> SamplePool:
+    def cached_pool(self, seed: int | None) -> SamplePool:
         """A pool warm-started from the session's cache entry (if possible).
 
         Persisted samples preload the stream and drawing resumes where the
@@ -627,9 +572,9 @@ class EstimationSession:
         it is discarded and redrawn on the generator's plane.
         """
         if self.cache is None or seed is None:
-            return self.pool_for_seed(seed, shared=shared)
+            return self.pool_for_seed(seed)
         if self._vector_generator():
-            return self._cached_vector_pool(seed, shared=shared)
+            return self._cached_vector_pool(seed)
         return self._cached_scalar_pool(seed)
 
     def _cached_scalar_pool(self, seed: int) -> SamplePool:
@@ -659,7 +604,7 @@ class EstimationSession:
         self.cache.attach_pool(shared, rng)
         return shared
 
-    def _cached_vector_pool(self, seed: int, shared: bool = False) -> SamplePool:
+    def _cached_vector_pool(self, seed: int) -> SamplePool:
         rows = self.cache.sample_word_rows()
         if rows:
             if (
@@ -681,7 +626,6 @@ class EstimationSession:
             preloaded_rows=preloaded_rows,
             index=self.index(),
             batch_size=DEFAULT_BATCH_SIZE,
-            shared=shared,
         )
         self.cache.attach_pool(pool, None)
         return pool

@@ -91,7 +91,7 @@ import os
 import tempfile
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 try:  # pragma: no cover - platform probe (Linux/macOS have it, Windows not)
     import fcntl
@@ -200,9 +200,7 @@ class StoreErrorLog:
     is recorded here instead of being silently squelched.  ``degraded``
     is level-triggered — set by :meth:`record`, cleared by
     :meth:`mark_ok` on the next successful store interaction — which is
-    what the service's ``repro_degraded_mode`` gauge exports.  An
-    optional ``listener`` callable ``(op, kind)`` fires outside the lock
-    on every record (the server bridges it to a labeled counter).
+    what the service's ``repro_degraded_mode`` gauge exports.
     """
 
     def __init__(self) -> None:
@@ -210,7 +208,6 @@ class StoreErrorLog:
         self._counts: dict[tuple[str, str], int] = {}
         self.last_error: str | None = None
         self.degraded = False
-        self.listener: Callable[[str, str], None] | None = None
 
     def record(self, op: str, error: BaseException | str) -> str:
         """Count one failure of ``op`` and enter degraded mode.
@@ -224,9 +221,6 @@ class StoreErrorLog:
             self._counts[(op, kind)] = self._counts.get((op, kind), 0) + 1
             self.degraded = True
             self.last_error = f"{op}: {error}"
-        listener = self.listener
-        if listener is not None:
-            listener(op, kind)
         return kind
 
     def mark_ok(self) -> None:
@@ -746,19 +740,6 @@ class CacheEntry:
             raise ValueError("attach_pool() needs the drawing RNG for scalar pools")
         self._pool = pool
         self._rng = rng
-
-    def pool_segment_name(self) -> str | None:
-        """The shared-memory segment backing the attached pool, if any.
-
-        Sharded workers back their vector pools with
-        :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices;
-        the store's word row is that very matrix row, so
-        :meth:`_sync_pool` already reads the shared bytes zero-copy.
-        This accessor exposes the segment name for cross-process
-        attachment and for eviction tests; ``None`` for private pools.
-        """
-        segment = getattr(self._pool, "shared_segment", None) if self._pool else None
-        return segment.name if segment is not None else None
 
     def _sync_pool(self) -> None:
         drawn = len(self._pool)

@@ -1,7 +1,7 @@
 """Runtime lock-order sanitizer, in the style of the kernel's lockdep.
 
-The service plane holds locks in eight modules (registry, batching,
-sharding, metrics, store, cache, loadtest, vectorized shm).  A deadlock
+The service plane holds locks in seven modules (registry, batching,
+sharding, metrics, store, cache, loadtest).  A deadlock
 needs two locks taken in opposite orders on two threads *at the same
 time* — a coincidence no unit test reliably produces.  Lockdep removes
 the coincidence: every lock belongs to a *class* keyed by its creation

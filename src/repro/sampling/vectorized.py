@@ -47,22 +47,10 @@ identical samples.  This is deliberately a *different* stream from the
 scalar plane's ``random.Random`` stream: the two planes agree in
 distribution (and bit-for-bit on how outcomes become masks — the decode
 parity asserted by ``tests/test_vectorized.py``), not sample-for-sample.
-
-**Shared segments.**  :class:`SharedSampleSegment` backs the same packed
-``(capacity, words)`` matrix with a ``multiprocessing.shared_memory``
-block instead of private heap memory.  Because the store's on-disk
-word row *is* the in-memory matrix row, a segment can be read zero-copy
-by both a serving worker and the :class:`~repro.engine.store.CacheEntry`
-that persists it.  Segments are reference-counted within the owning
-process (:meth:`SharedSampleSegment.retain` /
-:meth:`SharedSampleSegment.release`); when the count reaches zero the
-creator unlinks the OS object, so an evicted pool leaves nothing behind
-in ``/dev/shm`` (see ``SamplePool.release_shared``).
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -118,85 +106,6 @@ def pack_witnesses(singles_mask: int, complex_masks: Sequence[int], words: int):
     singles_row = pack_masks([singles_mask], words)[0] if singles_mask else None
     complex_rows = pack_masks(complex_masks, words) if complex_masks else None
     return singles_row, complex_rows
-
-
-class SharedSampleSegment:
-    """A packed ``(capacity, words)`` sample matrix in shared memory.
-
-    The segment holds exactly the bitset layout described in the module
-    docstring — ``capacity`` rows of ``words`` little-endian ``uint64``
-    words, row-major — so the same bytes can back a ``SamplePool`` in a
-    sharded worker *and* be read zero-copy by the cache store (the store
-    persists these very word rows).
-
-    Lifecycle: the creating process owns the OS object.  Handles are
-    reference-counted **per process** via :meth:`retain`/:meth:`release`;
-    when the count reaches zero the mapping is closed and (for the
-    creator) the name is unlinked, so nothing lingers in ``/dev/shm``
-    after a pool is evicted.  numpy views handed out by :meth:`rows` may
-    outlive the release — the mapping then stays alive until the last
-    view dies, but the *name* is gone immediately.
-    """
-
-    def __init__(self, shm, capacity: int, words: int, *, owner: bool) -> None:
-        self._shm = shm
-        self.capacity = int(capacity)
-        self.words = int(words)
-        self._owner = owner
-        self._refs = 1
-        self._lock = threading.Lock()
-
-    @classmethod
-    def create(cls, capacity: int, words: int) -> "SharedSampleSegment":
-        """Allocate a fresh segment sized for ``capacity`` sample rows."""
-        from multiprocessing import shared_memory
-
-        size = max(int(capacity) * int(words) * 8, 1)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        return cls(shm, capacity, words, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, capacity: int, words: int) -> "SharedSampleSegment":
-        """Map an existing segment by name (raises ``FileNotFoundError``)."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, capacity, words, owner=False)
-
-    @property
-    def name(self) -> str:
-        """The OS-level segment name (attachable from any process)."""
-        return self._shm.name
-
-    def rows(self):
-        """The full ``(capacity, words)`` ``<u8`` matrix view."""
-        return np.ndarray((self.capacity, self.words), dtype="<u8", buffer=self._shm.buf)
-
-    def retain(self) -> "SharedSampleSegment":
-        """Take one more process-local reference to the mapping."""
-        with self._lock:
-            if self._refs <= 0:
-                raise RuntimeError("segment already released")
-            self._refs += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one reference; the last one closes (and, owning, unlinks)."""
-        with self._lock:
-            self._refs -= 1
-            if self._refs > 0:
-                return
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink race
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            # Live numpy views still export the buffer; the mapping stays
-            # until they die, but the name is already gone (unlinked above).
-            pass
 
 
 def batch_hit_flags(

@@ -369,6 +369,7 @@ class ServerProcess:
         if self._process is not None:
             self._process.kill()
             self._process.wait(timeout=30)
+            self._close_stderr()
 
     def restart(self) -> str:
         """Bring a fresh process back on the same port."""
@@ -384,6 +385,7 @@ class ServerProcess:
                 time.sleep(0.2)
 
     def stop(self) -> None:
+        """SIGTERM the server (SIGKILL if it is stuck) and wait for it."""
         if self._process is not None:
             self._process.terminate()
             try:
@@ -391,6 +393,22 @@ class ServerProcess:
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck process
                 self._process.kill()
                 self._process.wait(timeout=30)
+            self._close_stderr()
+
+    def _close_stderr(self) -> None:
+        """Close the stderr pipe once the drain thread has read its EOF.
+
+        A worker process the server spawned may hold the pipe open a
+        moment longer than the server itself; the drain thread is given
+        that long before the pipe is left to the garbage collector.
+        """
+        if self._drain is not None:
+            self._drain.join(timeout=10)
+            if self._drain.is_alive():  # pragma: no cover - a lingering child
+                return
+            self._drain = None
+        if self._process.stderr is not None:
+            self._process.stderr.close()
 
     def __enter__(self) -> "ServerProcess":
         self.start()
@@ -813,7 +831,15 @@ def _run_phases(
     )
 
     def fault(document: Mapping[str, Any]) -> dict:
-        return control._call("POST", "/_fault", document)
+        """POST one fault beat; a rejected one (a production ``repro
+        serve`` has no ``/_fault``) is a scored failure, never a crash."""
+        try:
+            return control._call("POST", "/_fault", document)
+        except ServiceClientError as error:
+            report.failures.append(
+                f"fault {', '.join(document)} was rejected (POST /_fault): {error}"
+            )
+            return {}
 
     # Phase 1: warm — sequential, fixed labels, cold bit-identity.
     for item in mix:
@@ -916,13 +942,8 @@ def _run_phases(
         # listener throughout, so this fault must be invisible to
         # clients — _score asserts the respawn happened and the usual
         # transport/bit-identity invariants catch any leakage.
-        try:
-            killed = fault({"kill_worker": 0})
-        except ServiceClientError as error:
-            report.failures.append(f"worker-kill fault was rejected: {error}")
-        else:
-            if killed.get("killed_pid"):
-                report.worker_kills += 1
+        if fault({"kill_worker": 0}).get("killed_pid"):
+            report.worker_kills += 1
     if config.inject_disk_fault:
         # Seed the store with clean spills, then break the disk: writes
         # fail with ENOSPC, reads flip one bit, and sessions are dropped

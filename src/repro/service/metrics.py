@@ -13,7 +13,8 @@ Three deliberate simplifications versus the full client library:
 * counters may be *sampled* — constructed with a ``callback`` that reads
   an existing monotone counter (the registry hit/miss/eviction counts
   already live on :class:`~repro.service.registry.SessionRegistry`;
-  re-plumbing them would risk double counting);
+  re-plumbing them would risk double counting) — and a labeled sampled
+  counter's callback returns a mapping, like a labeled gauge's;
 * histograms use fixed cumulative buckets chosen at construction.
 
 Everything is thread-safe: observations arrive both from the asyncio
@@ -64,6 +65,16 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def _sampled_series(mapping: Mapping | None) -> dict[tuple[str, ...], float]:
+    """A labeled callback's mapping with label-value tuple keys (a bare
+    key is the single label's value)."""
+    normalized: dict[tuple[str, ...], float] = {}
+    for key, value in (mapping or {}).items():
+        values = key if isinstance(key, tuple) else (key,)
+        normalized[tuple(str(v) for v in values)] = value
+    return normalized
+
+
 def _render_labels(names: Sequence[str], values: Sequence[str]) -> str:
     if not names:
         return ""
@@ -75,7 +86,13 @@ def _render_labels(names: Sequence[str], values: Sequence[str]) -> str:
 
 
 class Counter:
-    """A monotone counter, optionally label-less or callback-sampled."""
+    """A monotone counter, optionally labeled and/or callback-sampled.
+
+    A labeled callback returns a mapping from label values to counts (see
+    :class:`Gauge`); the callback owns monotonicity, which the service
+    keeps by carrying dead workers' counts (:meth:`WorkerPool.stats
+    <repro.service.sharding.WorkerPool.stats>`).
+    """
 
     kind = "counter"
 
@@ -86,8 +103,6 @@ class Counter:
         labelnames: Sequence[str] = (),
         callback: Callable[[], float] | None = None,
     ):
-        if callback is not None and labelnames:
-            raise ValueError("callback counters cannot take labels")
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
@@ -108,6 +123,8 @@ class Counter:
         self._inc((), amount)
 
     def _inc(self, key: tuple[str, ...], amount: float) -> None:
+        if self._callback is not None:
+            raise ValueError(f"{self.name} is callback-driven")
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
@@ -115,13 +132,18 @@ class Counter:
 
     def value(self, *labelvalues) -> float:
         """The current value of one series (0 if never incremented)."""
-        if self._callback is not None:
+        key = tuple(str(v) for v in labelvalues)
+        if self._callback is None:
+            with self._lock:
+                return self._values.get(key, 0)
+        if not self.labelnames:
             return self._callback()
-        with self._lock:
-            return self._values.get(tuple(str(v) for v in labelvalues), 0)
+        return _sampled_series(self._callback()).get(key, 0)
 
     def samples(self) -> list[tuple[tuple[str, ...], float]]:
         if self._callback is not None:
+            if self.labelnames:
+                return sorted(_sampled_series(self._callback()).items())
             return [((), self._callback())]
         with self._lock:
             return sorted(self._values.items())
@@ -197,12 +219,7 @@ class Gauge:
         self.inc(-amount)
 
     def _sampled(self) -> dict[tuple[str, ...], float]:
-        mapping: Mapping = self._callback() or {}
-        normalized: dict[tuple[str, ...], float] = {}
-        for key, value in mapping.items():
-            values = key if isinstance(key, tuple) else (key,)
-            normalized[tuple(str(v) for v in values)] = value
-        return normalized
+        return _sampled_series(self._callback())
 
     def value(self, *labelvalues) -> float:
         if self.labelnames:

@@ -149,20 +149,6 @@ class SessionHandle:
                 if committed and self.storage is not None:
                     self.storage.mark_ok()
 
-    def release_shared(self) -> None:
-        """Detach the pool from shared memory (after :meth:`spill`).
-
-        Copies the drawn prefix into private memory and unlinks the
-        segment, so an evicted handle keeps working (the documented
-        holder contract) while ``/dev/shm`` is reclaimed immediately.
-        No-op for pools that were never shared.
-        """
-        release = getattr(self.pool, "release_shared", None)
-        if release is None:
-            return
-        with self.lock:
-            release()
-
     def stats(self) -> dict:
         """Serving counters for this group, JSON-native."""
         return {
@@ -185,12 +171,6 @@ class SessionRegistry:
     reproducible and the cache store is bypassed, mirroring
     ``batch_estimate``).  ``cache_dir`` attaches a persistent
     :class:`~repro.engine.store.CacheStore` for warm-start/spill.
-
-    ``shared_pools=True`` backs every vector pool with a
-    :class:`~repro.sampling.vectorized.SharedSampleSegment` (sharded
-    workers use this so the cache store and siblings can read sample
-    matrices zero-copy); eviction and :meth:`close` release the segments
-    after spilling.  Scalar pools ignore the flag.
     """
 
     def __init__(
@@ -199,13 +179,11 @@ class SessionRegistry:
         seed: int | None = None,
         cache_dir: str | None = None,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
-        shared_pools: bool = False,
     ):
         if max_sessions < 1:
             raise ValueError("max_sessions must be positive")
         self.seed = seed
         self.max_sessions = max_sessions
-        self.shared_pools = shared_pools
         #: Per-registry store-failure accounting; drives degraded mode.
         self.storage = StoreErrorLog()
         self.store = CacheStore(cache_dir) if cache_dir is not None else None
@@ -298,7 +276,6 @@ class SessionRegistry:
                 self.evictions += 1
         for old in evicted:
             old.spill()
-            old.release_shared()
         return handle
 
     def _admit(
@@ -331,16 +308,15 @@ class SessionRegistry:
                     self.storage.mark_ok()
         session = EstimationSession(database, constraints, generator, cache=cache)
         # Raises FPRASUnavailable for out-of-scope groups before admission.
-        shared = self.shared_pools
         if cache is not None:
             try:
-                pool = session.cached_pool(seed, shared=shared)
+                pool = session.cached_pool(seed)
             except OSError as error:
                 self.storage.record("warm", error)
                 session = EstimationSession(database, constraints, generator)
-                pool = session.pool_for_seed(seed, shared=shared)
+                pool = session.pool_for_seed(seed)
         else:
-            pool = session.pool_for_seed(seed, shared=shared)
+            pool = session.pool_for_seed(seed)
         return SessionHandle(key, session, pool, seed, storage=self.storage)
 
     def estimate(
@@ -405,8 +381,6 @@ class SessionRegistry:
         with self._lock:
             handles = list(self._handles.values())
             self._handles.clear()
-        for handle in handles:
-            handle.release_shared()
         return len(handles)
 
     def stats(self) -> dict:
@@ -434,4 +408,3 @@ class SessionRegistry:
             self._handles.clear()
         for handle in handles:
             handle.spill()
-            handle.release_shared()

@@ -401,18 +401,15 @@ class EstimationServer:
             "Sessions evicted from the registry LRUs, summed over the shards.",
             callback=summed("evictions"),
         )
-        # Store failures arrive from worker threads (spills, admissions),
-        # so the labeled counter is driven by the registry log's listener
-        # rather than a callback (labeled callbacks are not supported,
-        # and the log already serializes recording).
-        self._m_store_errors = metrics.counter(
+        metrics.counter(
             "repro_store_errors_total",
             "Cache-store failures absorbed into degraded mode, by "
-            "operation (load/warm/spill/save) and kind.",
+            "operation (load/warm/spill/save) and kind, summed over the shards.",
             ("op", "kind"),
-        )
-        self.registry.storage.listener = (
-            lambda op, kind: self._m_store_errors.labels(op, kind).inc()
+            callback=lambda: {
+                tuple(key.split(":", 1)): count
+                for key, count in self._totals["storage_errors"].items()
+            },
         )
         metrics.gauge(
             "repro_degraded_mode",
@@ -982,17 +979,10 @@ def run_server(server: EstimationServer) -> int:
 
     async def _main() -> None:
         bound_host, bound_port = await server.start()
-        print(
-            f"repro estimation service on http://{bound_host}:{bound_port} "
-            f"(seed={registry.seed}, cache_dir={cache_dir}, "
-            f"max_sessions={registry.max_sessions}, "
-            f"workers={server.pool.workers})",
-            file=sys.stderr,
-            flush=True,
-        )
         # Graceful shutdown: both signals set the stop event, letting
         # stop() drain queued waiters instead of the loop tearing down
-        # underneath them.
+        # underneath them.  Installed before the URL is announced, so a
+        # SIGTERM sent as soon as the URL appears still exits cleanly.
         stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
         handled: list[int] = []
@@ -1002,6 +992,14 @@ def run_server(server: EstimationServer) -> int:
                 handled.append(signum)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-posix loops fall back to KeyboardInterrupt
+        print(
+            f"repro estimation service on http://{bound_host}:{bound_port} "
+            f"(seed={registry.seed}, cache_dir={cache_dir}, "
+            f"max_sessions={registry.max_sessions}, "
+            f"workers={server.pool.workers})",
+            file=sys.stderr,
+            flush=True,
+        )
         try:
             await stop_event.wait()
             print("shutting down", file=sys.stderr, flush=True)

@@ -35,8 +35,7 @@ without scoring), ``stats``, ``shutdown``.  Worker→router statuses:
 :class:`~repro.service.batching.QueueFull` router-side so 429/Retry-After
 semantics are shard-transparent), ``error``, ``stats``, ``ok``.
 
-Workers always spawn (see :meth:`WorkerPool.start`) unless
-``REPRO_UOCQA_START_METHOD`` explicitly overrides.
+Workers always spawn (see :class:`WorkerPool`).
 """
 
 from __future__ import annotations
@@ -66,10 +65,10 @@ __all__ = [
 ]
 
 #: Monotone registry counters: summed across shards, and carried over a
-#: worker respawn so plane-wide totals never decrease.
+#: worker respawn so plane-wide totals never decrease.  The per-``"op:kind"``
+#: store-error counts (``registry.storage.errors``) travel with them, under
+#: ``storage_errors`` (see :func:`_counters_of`).
 _REGISTRY_COUNTER_KEYS = ("hits", "misses", "evictions", "store_errors")
-#: Registry stat keys summed across shards by :func:`aggregate_shard_stats`.
-_REGISTRY_SUM_KEYS = ("sessions", *_REGISTRY_COUNTER_KEYS)
 #: Batcher stat keys summed across shards.
 _BATCHING_SUM_KEYS = (
     "batches_run",
@@ -112,6 +111,28 @@ def shard_for_key(key: str, shards: int) -> int:
     return best_shard
 
 
+def _zero_counters() -> dict:
+    return {**dict.fromkeys(_REGISTRY_COUNTER_KEYS, 0), "storage_errors": {}}
+
+
+def _counters_of(registry: Mapping) -> dict:
+    """A registry stat document's monotone counters, in carry form."""
+    counters = {key: registry.get(key, 0) for key in _REGISTRY_COUNTER_KEYS}
+    counters["storage_errors"] = dict(
+        (registry.get("storage") or {}).get("errors") or {}
+    )
+    return counters
+
+
+def _add_counters(total: dict, counters: Mapping) -> None:
+    """Add carry-form ``counters`` into ``total`` (missing keys count 0)."""
+    for key in _REGISTRY_COUNTER_KEYS:
+        total[key] += counters.get(key, 0)
+    errors = total["storage_errors"]
+    for kind, count in (counters.get("storage_errors") or {}).items():
+        errors[kind] = errors.get(kind, 0) + count
+
+
 def aggregate_shard_stats(per_shard: Iterable[Mapping | None]) -> dict:
     """Fold per-shard stat documents into plane-wide totals.
 
@@ -119,38 +140,41 @@ def aggregate_shard_stats(per_shard: Iterable[Mapping | None]) -> dict:
     ``carried`` counts, see :meth:`WorkerPool.stats`, so a restarting
     pool's totals never decrease), ``widest_batch`` and
     ``batch_seconds_ewma`` take the ``max``, ``degraded`` is or-ed and
-    ``groups`` concatenated.  Shards that failed to report (``None``
-    entries, or no ``registry`` section — e.g. mid-respawn) count in
-    ``unreported``.  Pure, so the contract (sum over shards == totals)
-    is unit-testable without processes.
+    ``groups`` concatenated.  ``storage_errors`` sums each shard's
+    ``registry.storage.errors`` (``"op:kind"`` → count) the same way.
+    Shards that failed to report (``None`` entries, or no ``registry``
+    section — e.g. mid-respawn) count in ``unreported``.  Pure, so the
+    contract (sum over shards == totals) is unit-testable without
+    processes.
     """
-    registry_totals = dict.fromkeys(_REGISTRY_SUM_KEYS, 0)
+    registry_totals = {"sessions": 0, **_zero_counters()}
     batching_totals = dict.fromkeys(_BATCHING_SUM_KEYS + _BATCHING_MAX_KEYS, 0)
     degraded = False
     groups: list = []
     reported = 0
     unreported = 0
     for entry in per_shard:
-        for key, value in ((entry or {}).get("carried") or {}).items():
-            registry_totals[key] += value
+        _add_counters(registry_totals, (entry or {}).get("carried") or {})
         if not entry or not entry.get("registry"):
             unreported += 1
             continue
         reported += 1
         registry = entry["registry"]
         batching = entry.get("batching") or {}
-        for key in _REGISTRY_SUM_KEYS:
-            registry_totals[key] += registry.get(key, 0)
+        registry_totals["sessions"] += registry.get("sessions", 0)
+        _add_counters(registry_totals, _counters_of(registry))
         degraded = degraded or bool(registry.get("degraded"))
         groups.extend(registry.get("groups") or [])
         for key in _BATCHING_SUM_KEYS:
             batching_totals[key] += batching.get(key, 0)
         for key in _BATCHING_MAX_KEYS:
             batching_totals[key] = max(batching_totals[key], batching.get(key, 0))
+    storage_errors = registry_totals.pop("storage_errors")
     return {
         "shards": reported,
         "unreported": unreported,
         "registry": registry_totals,
+        "storage_errors": storage_errors,
         "batching": batching_totals,
         "degraded": degraded,
         "groups": groups,
@@ -162,9 +186,6 @@ class WorkerConfig:
     """Everything a worker needs to build its :class:`Shard`.
 
     Plain picklable fields only — the config crosses the spawn boundary.
-    ``shared_pools`` defaults on: worker vector pools live in
-    :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices so
-    the store (and future readers) see sample rows zero-copy.
     """
 
     seed: int | None = None
@@ -172,8 +193,6 @@ class WorkerConfig:
     max_sessions: int = DEFAULT_MAX_SESSIONS
     max_queue: int | None = None
     max_pending: int | None = None
-    shared_pools: bool = True
-    start_method: str | None = None
 
 
 class WorkerDied(RuntimeError):
@@ -293,7 +312,6 @@ async def _worker_loop(index: int, conn, config: WorkerConfig) -> None:
         seed=config.seed,
         cache_dir=config.cache_dir,
         max_sessions=config.max_sessions,
-        shared_pools=config.shared_pools,
     )
     shard = Shard(registry, max_queue=config.max_queue, max_pending=config.max_pending)
     frames: asyncio.Queue = asyncio.Queue()
@@ -365,7 +383,7 @@ async def _worker_loop(index: int, conn, config: WorkerConfig) -> None:
         task.add_done_callback(tasks.discard)
 
     # Graceful drain: finish accepted frames, then queued batch rounds,
-    # then spill warm sessions (and unlink shared segments) on the way out.
+    # then spill warm sessions on the way out.
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
     await shard.close()
@@ -382,10 +400,6 @@ _SHUTDOWN_SENTINEL = object()
 # --------------------------------------------------------------------------------------
 # Router side
 # --------------------------------------------------------------------------------------
-
-
-def _zero_counters() -> dict[str, int]:
-    return dict.fromkeys(_REGISTRY_COUNTER_KEYS, 0)
 
 
 @dataclass(eq=False)
@@ -434,7 +448,15 @@ class WorkerPool:
         self.workers = workers
         self._on_restart = on_restart
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._context = None
+        # Never fork, not even when ``REPRO_UOCQA_START_METHOD`` asks for
+        # it (that setting is the offline ``batch_estimate`` fan-out's):
+        # shards start concurrently from executor threads, so a forked
+        # sibling inherits every already-created shard pipe — and a held
+        # write end means a SIGKILLed worker never EOFs its reader, so
+        # the router never notices the death (no respawn).  Spawned
+        # children fork+exec with explicit fd passing, which cannot
+        # cross-inherit.
+        self._context = multiprocessing.get_context("spawn")
         self._workers: list[_Worker] = []
         self._ids = itertools.count(1)
         self._stopping = False
@@ -455,21 +477,7 @@ class WorkerPool:
 
     async def start(self) -> None:
         """Spawn every worker (concurrently — spawn imports are slow)."""
-        from ..engine.batch import START_METHOD_ENV, _pool_context
-
         self._loop = asyncio.get_running_loop()
-        if self.config.start_method or os.environ.get(START_METHOD_ENV):
-            self._context = _pool_context(self.config.start_method)
-        else:
-            # Never default to fork here, even when the process is still
-            # single-threaded at resolution time: shards are forked
-            # concurrently from executor threads, so a forked sibling
-            # inherits every already-created shard pipe — and a held
-            # write end means a SIGKILLed worker never EOFs its reader,
-            # so the router never notices the death (no respawn).
-            # Spawned children fork+exec with explicit fd passing, which
-            # cannot cross-inherit.
-            self._context = multiprocessing.get_context("spawn")
         self._workers = list(
             await asyncio.gather(
                 *(
@@ -595,9 +603,10 @@ class WorkerPool:
         """One stat document per shard: ``shard``, ``pid``, ``alive``,
         ``restarts``, the shard's ``registry``/``batching`` sections
         (``None`` when it missed ``timeout`` or its worker has since died)
-        and ``carried`` — the registry counters its dead worker generations
-        reported (plus, while unreported, the live one's last report),
-        which :func:`aggregate_shard_stats` adds to the totals.
+        and ``carried`` — the registry counters and store-error counts its
+        dead worker generations reported (plus, while unreported, the live
+        one's last report), which :func:`aggregate_shard_stats` adds to the
+        totals.
         """
 
         async def one(shard: int) -> dict:
@@ -610,16 +619,13 @@ class WorkerPool:
                 document = {}
             worker = self._workers[shard]
             alive = not worker.dead and worker.process.is_alive()
-            carried = dict(self._carried[shard])
+            carried = _zero_counters()
+            _add_counters(carried, self._carried[shard])
             if document.get("pid") == worker.process.pid and not worker.dead:
-                registry = document["registry"]
-                self._reported[shard] = {
-                    key: registry.get(key, 0) for key in _REGISTRY_COUNTER_KEYS
-                }
+                self._reported[shard] = _counters_of(document["registry"])
             else:
                 document = {"shard": shard, "registry": None, "batching": None}
-                for key, value in self._reported[shard].items():
-                    carried[key] += value
+                _add_counters(carried, self._reported[shard])
             document.update(
                 alive=alive, restarts=self.restarts[shard], carried=carried
             )
@@ -703,9 +709,7 @@ class WorkerPool:
         self.restarts[worker.shard] += 1
         # The dead generation's last reported counters become carried;
         # the replacement reports from zero.
-        carried = self._carried[worker.shard]
-        for key, value in self._reported[worker.shard].items():
-            carried[key] += value
+        _add_counters(self._carried[worker.shard], self._reported[worker.shard])
         self._reported[worker.shard] = _zero_counters()
         if self._on_restart is not None:
             self._on_restart(worker.shard)

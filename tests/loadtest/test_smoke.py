@@ -9,7 +9,8 @@ lives in ``test_saturation.py`` behind the ``tier2`` marker.
 
 import pytest
 
-from repro.service import ServiceClient, run_loadtest
+from repro.cli import main
+from repro.service import BackgroundServer, ServiceClient, run_loadtest
 from repro.service.faults import FaultBackgroundServer
 from repro.service.loadtest import (
     LoadTestConfig,
@@ -62,6 +63,18 @@ class TestSmokeRun:
         assert report.metrics_scrapes > 0
         assert report.metrics_violations == []
 
+    def test_url_against_a_production_server_is_a_scored_failure(self, capsys):
+        """A production server has no ``/_fault``: every fault beat turns
+        into a failure that names it, and the run exits 1 — no traceback."""
+        with BackgroundServer(seed=SMOKE_CONFIG.seed) as server:
+            code = main(
+                ["loadtest", "--url", server.url, "--scale", "0.1", "--no-p99-check"]
+            )
+        output = capsys.readouterr()
+        assert code == 1
+        assert "was rejected (POST /_fault)" in output.out
+        assert "Traceback" not in output.out + output.err
+
 
 class TestServerProcess:
     def test_lifecycle_and_bit_identity_across_restart(self):
@@ -91,3 +104,11 @@ class TestServerProcess:
         with ServerProcess(seed=7) as server:
             with pytest.raises(RuntimeError, match="already running"):
                 server.start()
+
+    def test_stop_and_kill_close_the_stderr_pipe(self):
+        with ServerProcess(seed=7, fault_injection=False) as server:
+            first = server._process.stderr
+            server.restart()  # kill() + start() on the same port
+            assert first.closed
+        assert server._process.stderr.closed
+        assert server._process.returncode == 0

@@ -56,9 +56,18 @@ class TestCounter:
         assert counter.value() == 7
         assert counter.render()[-1] == "served_total 7"
 
-    def test_callback_counter_rejects_labels(self):
+    def test_labeled_callback_counter_samples_a_mapping(self):
+        state = {("spill", "enospc"): 2}
+        counter = Counter("e_total", "help", ("op", "kind"), callback=lambda: state)
+        assert counter.value("spill", "enospc") == 2
+        assert counter.value("load", "corrupt") == 0
+        state[("load", "corrupt")] = 1
+        assert counter.render()[2:] == [
+            'e_total{op="load",kind="corrupt"} 1',
+            'e_total{op="spill",kind="enospc"} 2',
+        ]
         with pytest.raises(ValueError):
-            Counter("c_total", "help", ("a",), callback=lambda: 0)
+            counter.labels("spill", "enospc").inc()
 
     def test_unlabeled_counter_renders_zero_sample(self):
         lines = Counter("c_total", "help").render()

@@ -520,13 +520,11 @@ class TestDegradedStorage:
         seeded.close()
 
         victim = SessionRegistry(seed=SEED, cache_dir=str(tmp_path))
-        listener_events = []
-        victim.storage.listener = lambda op, kind: listener_events.append((op, kind))
         with fsfault.injected(FaultPlan(bitflip_seed=5, crash="raise")):
             degraded = [row.result for row in victim.estimate(requests)]
         assert degraded == baseline  # bit-identical despite the bitrot
         assert victim.stats()["degraded"]
-        assert ("load", "corrupt") in listener_events
+        assert victim.stats()["storage"]["errors"].get("load:corrupt")
         victim.close()
 
     def test_store_error_counter_and_gauge_exported(self, fig2, tmp_path):

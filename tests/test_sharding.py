@@ -8,9 +8,9 @@ The promises under test, in rough dependency order:
 * :func:`~repro.service.sharding.aggregate_shard_stats` sums per-shard
   registry/batching sections exactly (what ``/stats`` and ``/metrics``
   serve in sharded mode).
-* Shared-memory sample pools survive the full lifecycle: segments are
-  attachable while live, unlinked on eviction, and an evicted-but-held
-  handle still serves bit-identical rows from its private copy.
+* Store-error counts (``"op:kind"``) fold across shards, survive a
+  worker respawn, and render as ``repro_store_errors_total{op,kind}``.
+* Sharded workers always spawn, whatever ``REPRO_UOCQA_START_METHOD`` says.
 * The micro-batcher drains on shutdown: queued work is either served
   normally or failed with the shutdown error — never silently dropped —
   and a SIGTERM'd ``serve`` subprocess exits cleanly (code 0).
@@ -156,6 +156,21 @@ class TestAggregateShardStats:
             "sessions": 1, "hits": 9, "misses": 5, "evictions": 2, "store_errors": 0,
         }
 
+    def test_store_error_kinds_are_summed_with_their_carry(self):
+        first = shard_stats(0, sessions=1, hits=0, misses=1, evictions=0, batches=1, widest=1)
+        second = shard_stats(1, sessions=1, hits=0, misses=1, evictions=0, batches=1, widest=1)
+        first["registry"]["storage"] = {"errors": {"spill:enospc": 2, "load:corrupt": 1}}
+        second["registry"]["storage"] = {"errors": {"spill:enospc": 1}}
+        second["carried"] = {"store_errors": 3, "storage_errors": {"save:eio": 3}}
+        merged = aggregate_shard_stats([first, second, {"carried": {
+            "storage_errors": {"load:corrupt": 4},
+        }}])
+        assert merged["storage_errors"] == {
+            "spill:enospc": 3, "load:corrupt": 5, "save:eio": 3,
+        }
+        assert merged["registry"]["store_errors"] == 3
+        assert aggregate_shard_stats([])["storage_errors"] == {}
+
     def test_degraded_is_or_ed_and_groups_concatenated(self):
         first = shard_stats(0, sessions=1, hits=0, misses=1, evictions=0, batches=1, widest=1)
         second = shard_stats(1, sessions=2, hits=0, misses=2, evictions=0, batches=1, widest=1)
@@ -165,69 +180,6 @@ class TestAggregateShardStats:
         assert merged["degraded"] is True
         assert [group["key"] for group in merged["groups"]] == ["a", "b", "c"]
         assert aggregate_shard_stats([first])["degraded"] is False
-
-
-# -- shared-memory sample pools ------------------------------------------------------------
-
-
-class TestSharedSegments:
-    def test_segment_roundtrip_attach_and_unlink(self):
-        from multiprocessing import shared_memory
-
-        from repro.sampling.vectorized import SharedSampleSegment
-
-        segment = SharedSampleSegment.create(4, 2)
-        rows = segment.rows()
-        rows[:] = 7
-        attached = SharedSampleSegment.attach(segment.name, 4, 2)
-        assert attached.rows().tolist() == rows.tolist()
-        name = segment.name
-        attached.release()
-        segment.release()  # owner: refcount hits zero -> unlink
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_eviction_unlinks_segment_but_handle_stays_usable(self):
-        from multiprocessing import shared_memory
-
-        registry = SessionRegistry(seed=7, max_sessions=1, shared_pools=True)
-        ur = fig2_requests(generators=(M_UR,))
-        us = fig2_requests(generators=(M_US,))
-        offline = batch_estimate(ur, seed=7)
-
-        first = [r.result for r in registry.estimate(ur)]
-        assert first == [r.result for r in offline]
-        (handle,) = registry.handles()
-        segment = handle.pool.shared_segment
-        assert segment is not None
-        name = segment.name
-
-        # Admitting the second generator's group evicts the first
-        # (max_sessions=1); eviction must release the shared segment...
-        registry.estimate(us)
-        assert registry.evictions == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        assert handle.pool.shared_segment is None
-
-        # ...while the evicted handle (still held here, as a concurrent
-        # batch might) keeps serving identical rows from a private copy.
-        again = handle.run(ur, "fixed")
-        assert [r.result for r in again] == [r.result for r in offline]
-
-    def test_registry_close_releases_segments(self):
-        from multiprocessing import shared_memory
-
-        registry = SessionRegistry(seed=7, shared_pools=True)
-        registry.estimate(fig2_requests(generators=(M_UR,)))
-        names = [
-            handle.pool.shared_segment.name for handle in registry.handles()
-        ]
-        assert names
-        registry.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
 
 # -- graceful shutdown ---------------------------------------------------------------------
@@ -511,3 +463,103 @@ class TestWorkerPoolCounters:
         totals = aggregate_shard_stats([after])["registry"]
         assert totals["misses"] >= aggregate_shard_stats([before])["registry"]["misses"]
         assert totals["hits"] >= aggregate_shard_stats([before])["registry"]["hits"]
+
+
+class _FakeProcess:
+    def __init__(self, pid):
+        self.pid = pid
+
+    def is_alive(self):
+        return True
+
+
+def _registry_document(pid, errors):
+    registry = shard_stats(0, sessions=1, hits=0, misses=1, evictions=0, batches=1, widest=1)
+    registry["registry"].update(
+        store_errors=sum(errors.values()), storage={"errors": dict(errors)}
+    )
+    return {"shard": 0, "pid": pid, **registry}
+
+
+class TestStoreErrorsAcrossRespawns:
+    """The per-kind store-error counts a dead worker reported stay in the
+    plane-wide fold (synthetic shard documents; no processes)."""
+
+    def test_respawn_carries_store_error_kinds(self):
+        from types import SimpleNamespace
+
+        pool = WorkerPool(WorkerConfig(seed=7), 1)
+        documents = {}
+
+        async def fake_request(shard, kind, payload):
+            return "stats", documents[pool._workers[shard].process.pid]
+
+        async def no_revive(worker):
+            return None
+
+        pool._request = fake_request
+        pool._revive = no_revive
+
+        def generation(pid):
+            return SimpleNamespace(
+                shard=0, process=_FakeProcess(pid), dead=False, inflight={}
+            )
+
+        async def scenario():
+            pool._loop = asyncio.get_running_loop()
+            pool._workers = [generation(101)]
+            documents[101] = _registry_document(101, {"spill:enospc": 2})
+            first = aggregate_shard_stats(await pool.stats())
+            pool._worker_died(pool._workers[0])
+            unreported = aggregate_shard_stats(await pool.stats())
+            pool._workers = [generation(202)]
+            documents[202] = _registry_document(202, {"load:corrupt": 1})
+            reborn = aggregate_shard_stats(await pool.stats())
+            return first, unreported, reborn
+
+        first, unreported, reborn = asyncio.run(scenario())
+        assert first["storage_errors"] == {"spill:enospc": 2}
+        assert unreported["unreported"] == 1
+        assert unreported["storage_errors"] == {"spill:enospc": 2}
+        assert reborn["storage_errors"] == {"spill:enospc": 2, "load:corrupt": 1}
+        assert reborn["registry"]["store_errors"] == 3
+
+    def test_fold_renders_the_labeled_counter(self):
+        from repro.service.metrics import parse_metrics_text
+        from repro.service.server import EstimationServer
+
+        server = EstimationServer(SessionRegistry(seed=7))
+        server._totals = aggregate_shard_stats([
+            _registry_document(1, {"spill:enospc": 2}),
+            {**_registry_document(2, {}), "carried": {
+                "storage_errors": {"spill:enospc": 1, "load:corrupt": 4},
+            }},
+        ])
+        series = parse_metrics_text(server.metrics.render())
+        assert series['repro_store_errors_total{kind="enospc",op="spill"}'] == 3
+        assert series['repro_store_errors_total{kind="corrupt",op="load"}'] == 4
+
+
+class TestWorkersAlwaysSpawn:
+    def test_fork_env_does_not_reach_the_worker_pool(self, monkeypatch):
+        """``REPRO_UOCQA_START_METHOD`` configures the offline fan-out
+        only: a forked shard would inherit its siblings' pipes and hide
+        their deaths from the router."""
+        from repro.engine.batch import START_METHOD_ENV
+
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
+        pool = WorkerPool(WorkerConfig(seed=7), 2)
+        assert pool._context.get_start_method() == "spawn"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WorkerConfig(start_method="fork"),
+            lambda: WorkerConfig(shared_pools=True),
+            lambda: SessionRegistry(shared_pools=True),
+        ],
+        ids=["worker-start-method", "worker-shared-pools", "registry-shared-pools"],
+    )
+    def test_removed_knobs_are_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
